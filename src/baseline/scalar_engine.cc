@@ -4,6 +4,9 @@
 #include <map>
 #include <vector>
 
+#include "encoding/bitpack.h"
+#include "encoding/byteslice.h"
+
 namespace bipie {
 
 namespace {
@@ -24,6 +27,61 @@ GroupValue MakeGroupValue(const DecodedColumn& col, int64_t logical) {
     v.int_value = logical;
   }
   return v;
+}
+
+// Logical values of every row of `col`, read one value at a time with the
+// scalar reference readers (BitUnpackOne, ByteSliceAssembleOne) instead of
+// EncodedColumn::DecodeInt64, which runs the SIMD unpack kernels: a wrong
+// kernel must not be wrong on both sides of a differential test.
+void DecodeColumnScalar(const EncodedColumn& col, int64_t* out) {
+  const size_t n = col.num_rows();
+  const uint8_t* packed = col.packed_data();
+  const int w = col.bit_width();
+  const uint64_t base = static_cast<uint64_t>(col.base());
+  switch (col.encoding()) {
+    case Encoding::kBitPacked:
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = static_cast<int64_t>(BitUnpackOne(packed, i, w) + base);
+      }
+      return;
+    case Encoding::kByteSliced:
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = static_cast<int64_t>(
+            ByteSliceAssembleOne(packed, n, w, i) + base);
+      }
+      return;
+    case Encoding::kDictionary: {
+      // String columns keep dictionary ids as their logical values.
+      const IntDictionary* dict = col.int_dictionary();
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t id = BitUnpackOne(packed, i, w);
+        out[i] = dict != nullptr ? dict->value(static_cast<uint32_t>(id))
+                                 : static_cast<int64_t>(id);
+      }
+      return;
+    }
+    case Encoding::kRle: {
+      size_t row = 0;
+      for (const RleRun& run : col.runs()) {
+        for (uint32_t k = 0; k < run.count; ++k) {
+          out[row++] = static_cast<int64_t>(run.value);
+        }
+      }
+      return;
+    }
+    case Encoding::kDelta: {
+      // Row i adds packed delta i - 1 (offset by delta_min) to row i - 1.
+      if (n == 0) return;
+      uint64_t value = static_cast<uint64_t>(col.delta_checkpoints()[0]);
+      out[0] = static_cast<int64_t>(value);
+      for (size_t i = 1; i < n; ++i) {
+        value += static_cast<uint64_t>(col.delta_min()) +
+                 BitUnpackOne(packed, i - 1, w);
+        out[i] = static_cast<int64_t>(value);
+      }
+      return;
+    }
+  }
 }
 
 }  // namespace
@@ -58,7 +116,7 @@ Result<QueryResult> ExecuteQueryNaive(const Table& table,
     std::vector<DecodedColumn> cols(table.num_columns());
     for (size_t c = 0; c < table.num_columns(); ++c) {
       cols[c].values.resize(n);
-      segment.column(c).DecodeInt64(0, n, cols[c].values.data());
+      DecodeColumnScalar(segment.column(c), cols[c].values.data());
       cols[c].strings = segment.column(c).string_dictionary();
     }
     std::vector<const int64_t*> col_ptrs(table.num_columns());
@@ -98,8 +156,9 @@ Result<QueryResult> ExecuteQueryNaive(const Table& table,
         const DecodedColumn& fc = cols[filter_cols[f]];
         if (fc.strings != nullptr) {
           // Evaluate string predicates through the encoded-domain path for
-          // one row (rare in the naive engine's usage). The slack covers
-          // Evaluate's SIMD write allowance.
+          // one row (rare in the naive engine's usage; a dictionary verdict
+          // table, no bit-packed kernel). The slack covers Evaluate's SIMD
+          // write allowance.
           uint8_t verdict[40] = {0};
           Status st = pred.Evaluate(segment.column(filter_cols[f]), i, 1,
                                     verdict);

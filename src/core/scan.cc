@@ -52,7 +52,6 @@ namespace {
 // allocations disappear from the steady state.
 struct MorselScratch {
   AlignedBuffer sel_buf;
-  AlignedBuffer sel_tmp;
 };
 
 MorselScratch& ThreadMorselScratch() {
@@ -61,7 +60,6 @@ MorselScratch& ThreadMorselScratch() {
   // re-homed to the process root when a query's tracker scope exits.
   thread_local const bool registered = [] {
     RegisterThreadScratchBuffer(&scratch.sel_buf);
-    RegisterThreadScratchBuffer(&scratch.sel_tmp);
     return true;
   }();
   (void)registered;
@@ -164,14 +162,13 @@ Status BIPieScan::ScanMorselImpl(const Morsel& morsel,
 
   MorselScratch& scratch = ThreadMorselScratch();
   AlignedBuffer& sel_buf = scratch.sel_buf;
-  AlignedBuffer& sel_tmp = scratch.sel_tmp;
   // The selection scratch is sized up front for the largest batch this
   // morsel will see, so a failed allocation degrades to a structured
   // kResourceExhausted here — before any batch is processed — and the scan
   // as a whole stays complete-or-error, never a partial aggregate.
   const size_t scratch_rows = std::min<size_t>(morsel.num_rows, kBatchRows);
   if (BIPIE_FAILPOINT("scan/morsel_scratch_alloc") ||
-      !sel_buf.TryResize(scratch_rows) || !sel_tmp.TryResize(scratch_rows)) {
+      !sel_buf.TryResize(scratch_rows)) {
     return Status::ResourceExhausted("morsel selection scratch allocation");
   }
 
@@ -191,16 +188,13 @@ Status BIPieScan::ScanMorselImpl(const Morsel& morsel,
     const uint8_t* sel = nullptr;
     if (!query_.filters.empty()) {
       sel_buf.Resize(view.num_rows);
-      sel_tmp.Resize(view.num_rows);
+      // Conjunct 1 writes the selection; conjuncts 2..k AND into it in
+      // place (bit-packed columns inside the unpack kernel's registers).
       for (size_t f = 0; f < query_.filters.size(); ++f) {
-        uint8_t* dst = f == 0 ? sel_buf.data() : sel_tmp.data();
         BIPIE_RETURN_NOT_OK(query_.filters[f].Evaluate(
-            segment.column(filter_cols[f]), view.start, view.num_rows, dst,
-            processor.plan_decision().byteslice_admitted));
-        if (f > 0) {
-          AndSelection(sel_buf.data(), sel_tmp.data(), view.num_rows,
-                       sel_buf.data());
-        }
+            segment.column(filter_cols[f]), view.start, view.num_rows,
+            sel_buf.data(), processor.plan_decision().byteslice_admitted,
+            f == 0 ? SelectionWrite::kOverwrite : SelectionWrite::kAndInto));
       }
       sel = sel_buf.data();
     }

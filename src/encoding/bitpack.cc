@@ -44,32 +44,67 @@ void BitUnpackToWord(const uint8_t* src, size_t start, size_t n,
   const IsaTier tier = CurrentIsaTier();
   if (tier >= IsaTier::kAvx512) {
     internal::BitUnpackAvx512(src, start, n, bit_width, out, word_bytes);
-    return;
-  }
-  if (tier >= IsaTier::kAvx2) {
+  } else if (tier >= IsaTier::kAvx2) {
     internal::BitUnpackAvx2(src, start, n, bit_width, out, word_bytes);
-    return;
+  } else {
+    internal::BitUnpackScalarToWord(src, start, n, bit_width, out,
+                                    word_bytes);
   }
+}
+
+void BitPackedSelect(const uint8_t* src, size_t start, size_t n,
+                     int bit_width, const PackedRange& range, bool and_into,
+                     uint8_t* sel) {
+  BIPIE_DCHECK(range.lo <= range.hi && range.hi <= LowBitsMask(bit_width));
+  if (n == 0) return;
+  const IsaTier tier = CurrentIsaTier();
+  if (tier >= IsaTier::kAvx512) {
+    internal::BitPackedSelectAvx512(src, start, n, bit_width, range,
+                                    and_into, sel);
+  } else if (tier >= IsaTier::kAvx2) {
+    internal::BitPackedSelectAvx2(src, start, n, bit_width, range, and_into,
+                                  sel);
+  } else {
+    internal::BitPackedSelectScalar(src, start, n, bit_width, range,
+                                    and_into, sel);
+  }
+}
+
+namespace internal {
+
+void BitUnpackScalarToWord(const uint8_t* src, size_t start, size_t n,
+                           int bit_width, void* out, int word_bytes) {
   switch (word_bytes) {
     case 1:
-      internal::BitUnpackScalar(src, start, n, bit_width,
-                                static_cast<uint8_t*>(out));
+      BitUnpackScalar(src, start, n, bit_width, static_cast<uint8_t*>(out));
       break;
     case 2:
-      internal::BitUnpackScalar(src, start, n, bit_width,
-                                static_cast<uint16_t*>(out));
+      BitUnpackScalar(src, start, n, bit_width, static_cast<uint16_t*>(out));
       break;
     case 4:
-      internal::BitUnpackScalar(src, start, n, bit_width,
-                                static_cast<uint32_t*>(out));
+      BitUnpackScalar(src, start, n, bit_width, static_cast<uint32_t*>(out));
       break;
     case 8:
-      internal::BitUnpackScalar(src, start, n, bit_width,
-                                static_cast<uint64_t*>(out));
+      BitUnpackScalar(src, start, n, bit_width, static_cast<uint64_t*>(out));
       break;
     default:
       BIPIE_DCHECK(false);
   }
 }
+
+void BitPackedSelectScalar(const uint8_t* src, size_t start, size_t n,
+                           int bit_width, const PackedRange& range,
+                           bool and_into, uint8_t* sel) {
+  // lo <= v <= hi  <=>  v - lo <= hi - lo in wrapping unsigned arithmetic.
+  const uint64_t span = range.hi - range.lo;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t v = BitUnpackOne(src, start + i, bit_width);
+    const uint8_t verdict = ((v - range.lo <= span) != range.negate) ? 0xFF
+                                                                     : 0x00;
+    sel[i] = and_into ? static_cast<uint8_t>(sel[i] & verdict) : verdict;
+  }
+}
+
+}  // namespace internal
 
 }  // namespace bipie

@@ -7,8 +7,9 @@
 // Unpacking always emits elements of the smallest power-of-two byte width
 // (1, 2, 4 or 8) that fits the bit width — the "smallest word" rule of §2.2.
 //
-// The AVX2 unpack kernels may read up to 8 bytes past the last touched
-// packed byte; packed buffers must provide AlignedBuffer::kPaddingBytes of
+// The SIMD kernels load whole 16- or 64-byte blocks that start at a packed
+// value's first byte, so they may read up to 63 bytes past the last packed
+// byte; packed buffers must provide AlignedBuffer::kPaddingBytes (64) of
 // readable padding.
 #ifndef BIPIE_ENCODING_BITPACK_H_
 #define BIPIE_ENCODING_BITPACK_H_
@@ -65,10 +66,29 @@ void BitUnpack(const uint8_t* src, size_t start, size_t n, int bit_width,
 void BitUnpackToWord(const uint8_t* src, size_t start, size_t n,
                      int bit_width, void* out, int word_bytes);
 
+// An inclusive range of packed values, optionally negated: v passes when
+// (lo <= v && v <= hi) != negate. Every comparison a filter can make on an
+// unsigned offset (=, <>, <, <=, >, >=, BETWEEN) is one such range.
+// Requires lo <= hi <= LowBitsMask(bit_width).
+struct PackedRange {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  bool negate = false;
+};
+
+// Filters values [start, start + n) of a packed stream against `range`
+// without materializing them: each group of values is unpacked, compared
+// and turned into selection bytes in registers. Writes sel[i] = 0xFF for a
+// passing value and 0x00 otherwise; with `and_into`, ANDs that verdict into
+// the canonical byte already in sel[i] instead. Dispatches like BitUnpack.
+void BitPackedSelect(const uint8_t* src, size_t start, size_t n,
+                     int bit_width, const PackedRange& range, bool and_into,
+                     uint8_t* sel);
+
 namespace internal {
 
 // Portable reference implementations (always available; also the dispatch
-// target on the scalar tier).
+// target on the scalar tier and the SIMD tiers' head and tail handling).
 template <typename Word>
 void BitUnpackScalar(const uint8_t* src, size_t start, size_t n,
                      int bit_width, Word* out) {
@@ -76,16 +96,48 @@ void BitUnpackScalar(const uint8_t* src, size_t start, size_t n,
     out[i] = static_cast<Word>(BitUnpackOne(src, start + i, bit_width));
   }
 }
+void BitUnpackScalarToWord(const uint8_t* src, size_t start, size_t n,
+                           int bit_width, void* out, int word_bytes);
+void BitPackedSelectScalar(const uint8_t* src, size_t start, size_t n,
+                           int bit_width, const PackedRange& range,
+                           bool and_into, uint8_t* sel);
 
-// AVX2 tier entry point, defined in bitpack_avx2.cc. word_bytes in {1,2,4,8}.
+// Splits [start, start + n) so the SIMD body starts at an index divisible
+// by 8, which puts its first value on a byte boundary for every width;
+// from there each group of values advances the packed pointer by whole
+// bytes. body(p, offset, count) receives that first byte and the body's
+// offset and length relative to `start`, and returns how many values it
+// handled; scalar(offset, count) covers the head and the remaining tail.
+template <typename Body, typename Scalar>
+BIPIE_ALWAYS_INLINE void SplitAtByteBoundary(const uint8_t* src, size_t start,
+                                             size_t n, int bit_width,
+                                             Body&& body, Scalar&& scalar) {
+  size_t head = (8 - (start & 7)) & 7;
+  if (head > n) head = n;
+  if (head > 0) scalar(size_t{0}, head);
+  const uint8_t* p =
+      src + (start + head) * static_cast<uint64_t>(bit_width) / 8;
+  const size_t done = head + body(p, head, n - head);
+  if (done < n) scalar(done, n - done);
+}
+
+// AVX2 tier: PSHUFB byte-shuffle kernels, defined in bitpack_avx2.cc.
+// word_bytes in {1,2,4,8}.
 void BitUnpackAvx2(const uint8_t* src, size_t start, size_t n, int bit_width,
                    void* out, int word_bytes);
+void BitPackedSelectAvx2(const uint8_t* src, size_t start, size_t n,
+                         int bit_width, const PackedRange& range,
+                         bool and_into, uint8_t* sel);
 
-// AVX-512 tier entry point, defined in bitpack_avx512.cc (compiled with
-// AVX-512 flags). Falls through to the AVX2 kernels for widths its 16-lane
-// dword gathers cannot cover.
+// AVX-512 tier: VBMI (VPERMB/VPMULTISHIFTQB) kernels, defined in
+// bitpack_avx512.cc. VBMI is not part of the kAvx512 tier contract, so
+// without it (CPU or compiler) these fall through to the AVX2 kernels.
+bool VbmiAvailable();
 void BitUnpackAvx512(const uint8_t* src, size_t start, size_t n,
                      int bit_width, void* out, int word_bytes);
+void BitPackedSelectAvx512(const uint8_t* src, size_t start, size_t n,
+                           int bit_width, const PackedRange& range,
+                           bool and_into, uint8_t* sel);
 
 }  // namespace internal
 

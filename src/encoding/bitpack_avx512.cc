@@ -1,151 +1,238 @@
-// AVX-512 tier of the bit-unpacking kernels.
+// AVX-512 tier of the bit-unpacking and fused filter kernels.
 //
-// Same gather/shift/mask strategy as the AVX2 tier, but 16 values per
-// iteration via 512-bit dword gathers, with single-instruction narrowing
-// (VPMOVDB / VPMOVDW) instead of the pack-and-permute dance. Widths above
-// 25 bits delegate to the AVX2 tier's 64-bit path.
+// One 64-byte load covers a whole group of values and a VBMI permute
+// places them into lanes (encoding/bitpack_vbmi.h): 64 byte fields for
+// w <= 8, 16 dword windows for w <= 25, 8 qword windows for w <= 57. As in
+// the AVX2 tier, groups start on byte boundaries, so the tables are fixed
+// per width and the packed pointer advances by whole bytes, and the loops
+// are shared by a word-storing sink and a range-compare sink. The compare
+// sink turns its lane mask into selection bytes with VPMOVM2B, or keeps
+// the existing bytes under the mask (VMOVDQU8 zero-masking) when ANDing
+// into a selection.
+//
+// VBMI is not part of the toolbox's kAvx512 tier contract (F+DQ+BW+VL):
+// it is probed at runtime, and without it (CPU or compiler) this tier runs
+// the AVX2 kernels. Widths 58..64 stay scalar.
 #include <immintrin.h>
 
 #include "encoding/bitpack.h"
+#include "encoding/bitpack_vbmi.h"
 
 namespace bipie::internal {
 
+#if defined(__AVX512VBMI__)
+
 namespace {
 
-// 16 consecutive packed values starting at base_bit as zero-extended u32
-// lanes. Requires w <= 25 and base_bit + 16w < 2^31.
-BIPIE_ALWAYS_INLINE __m512i Gather16(const uint8_t* src, uint32_t base_bit,
-                                     __m512i lane_bits, __m512i value_mask) {
-  const __m512i bits = _mm512_add_epi32(
-      _mm512_set1_epi32(static_cast<int>(base_bit)), lane_bits);
-  const __m512i byte_off = _mm512_srli_epi32(bits, 3);
-  const __m512i shift = _mm512_and_si512(bits, _mm512_set1_epi32(7));
-  __m512i words = _mm512_i32gather_epi32(byte_off, src, 1);
-  words = _mm512_srlv_epi32(words, shift);
-  return _mm512_and_si512(words, value_mask);
-}
-
-__m512i MakeLaneBits(int w) {
-  alignas(64) int lanes[16];
-  for (int i = 0; i < 16; ++i) lanes[i] = i * w;
-  return _mm512_load_si512(lanes);
-}
-
-void UnpackNarrow512(const uint8_t* src, size_t n, int w, void* out,
-                     int word_bytes) {
-  const __m512i lane_bits = MakeLaneBits(w);
-  const __m512i value_mask =
-      _mm512_set1_epi32(static_cast<int>(LowBitsMask(w)));
-  const uint32_t wu = static_cast<uint32_t>(w);
+// Feeds every full group of [0, n) values starting at byte p to the sink:
+// Bytes(i, v) values i..i+63 (w <= 8), Dwords(i, v) values i..i+15
+// (w <= 25), Qwords(i, v) values i..i+7 (w <= 57). Returns the number of
+// values handled.
+template <typename Sink>
+size_t Body(const uint8_t* p, size_t n, int w, Sink sink) {
   size_t i = 0;
-  switch (word_bytes) {
-    case 1: {
-      auto* dst = static_cast<uint8_t*>(out);
-      for (; i + 16 <= n; i += 16) {
-        const __m512i v =
-            Gather16(src, static_cast<uint32_t>(i) * wu, lane_bits,
-                     value_mask);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                         _mm512_cvtepi32_epi8(v));
-      }
-      BitUnpackScalar(src, i, n - i, w, dst + i);
-      return;
+  if (w <= 8) {
+    const VbmiWindows win = MakeVbmiByteFields(w);
+    const __m512i mask =
+        _mm512_set1_epi8(static_cast<char>(LowBitsMask(w)));
+    for (; i + 64 <= n; i += 64, p += 8 * w) {
+      sink.Bytes(i, DecodeVbmiBytes(p, win, mask));
     }
-    case 2: {
-      auto* dst = static_cast<uint16_t*>(out);
-      for (; i + 16 <= n; i += 16) {
-        const __m512i v =
-            Gather16(src, static_cast<uint32_t>(i) * wu, lane_bits,
-                     value_mask);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                            _mm512_cvtepi32_epi16(v));
-      }
-      BitUnpackScalar(src, i, n - i, w, dst + i);
-      return;
+  } else if (w <= 25) {
+    const VbmiWindows win = MakeVbmiWindows<4>(w);
+    const __m512i mask = _mm512_set1_epi32(static_cast<int>(LowBitsMask(w)));
+    for (; i + 16 <= n; i += 16, p += 2 * w) {
+      sink.Dwords(i, DecodeVbmiDwords(p, win, mask));
     }
-    case 4: {
-      auto* dst = static_cast<uint32_t*>(out);
-      for (; i + 16 <= n; i += 16) {
-        const __m512i v =
-            Gather16(src, static_cast<uint32_t>(i) * wu, lane_bits,
-                     value_mask);
-        _mm512_storeu_si512(dst + i, v);
-      }
-      BitUnpackScalar(src, i, n - i, w, dst + i);
-      return;
+  } else {
+    const VbmiWindows win = MakeVbmiWindows<8>(w);
+    const __m512i mask =
+        _mm512_set1_epi64(static_cast<long long>(LowBitsMask(w)));
+    for (; i + 8 <= n; i += 8, p += w) {
+      sink.Qwords(i, DecodeVbmiQwords(p, win, mask));
     }
-    case 8: {
-      auto* dst = static_cast<uint64_t*>(out);
-      for (; i + 16 <= n; i += 16) {
-        const __m512i v =
-            Gather16(src, static_cast<uint32_t>(i) * wu, lane_bits,
-                     value_mask);
-        const __m512i lo = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(v));
-        const __m512i hi =
-            _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(v, 1));
-        _mm512_storeu_si512(dst + i, lo);
-        _mm512_storeu_si512(dst + i + 8, hi);
-      }
-      BitUnpackScalar(src, i, n - i, w, dst + i);
-      return;
-    }
-    default:
-      BIPIE_DCHECK(false);
   }
+  return i;
 }
 
-void UnpackScalarDispatch512(const uint8_t* src, size_t start, size_t n,
-                             int w, void* out, int word_bytes) {
-  switch (word_bytes) {
-    case 1:
-      BitUnpackScalar(src, start, n, w, static_cast<uint8_t*>(out));
-      break;
-    case 2:
-      BitUnpackScalar(src, start, n, w, static_cast<uint16_t*>(out));
-      break;
-    case 4:
-      BitUnpackScalar(src, start, n, w, static_cast<uint32_t*>(out));
-      break;
-    case 8:
-      BitUnpackScalar(src, start, n, w, static_cast<uint64_t*>(out));
-      break;
-    default:
-      BIPIE_DCHECK(false);
+template <int kWord>
+struct UnpackSink {
+  uint8_t* out;  // word 0 of the body
+
+  BIPIE_ALWAYS_INLINE void Bytes(size_t i, __m512i v) {
+    uint8_t* dst = out + i * kWord;
+    if constexpr (kWord == 1) {
+      _mm512_storeu_si512(dst, v);
+    } else if constexpr (kWord == 2) {
+      _mm512_storeu_si512(dst,
+                          _mm512_cvtepu8_epi16(_mm512_castsi512_si256(v)));
+      _mm512_storeu_si512(dst + 64,
+                          _mm512_cvtepu8_epi16(_mm512_extracti64x4_epi64(v, 1)));
+    } else {
+      const __m128i quarters[4] = {_mm512_castsi512_si128(v),
+                                   _mm512_extracti32x4_epi32(v, 1),
+                                   _mm512_extracti32x4_epi32(v, 2),
+                                   _mm512_extracti32x4_epi32(v, 3)};
+      for (int q = 0; q < 4; ++q) {
+        const __m128i x = quarters[q];
+        if constexpr (kWord == 4) {
+          _mm512_storeu_si512(dst + 64 * q, _mm512_cvtepu8_epi32(x));
+        } else {
+          _mm512_storeu_si512(dst + 128 * q, _mm512_cvtepu8_epi64(x));
+          _mm512_storeu_si512(dst + 128 * q + 64,
+                              _mm512_cvtepu8_epi64(_mm_unpackhi_epi64(x, x)));
+        }
+      }
+    }
   }
-}
+
+  BIPIE_ALWAYS_INLINE void Dwords(size_t i, __m512i v) {
+    uint8_t* dst = out + i * kWord;
+    if constexpr (kWord == 2) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
+                          _mm512_cvtepi32_epi16(v));
+    } else if constexpr (kWord == 4) {
+      _mm512_storeu_si512(dst, v);
+    } else if constexpr (kWord == 8) {
+      _mm512_storeu_si512(dst,
+                          _mm512_cvtepu32_epi64(_mm512_castsi512_si256(v)));
+      _mm512_storeu_si512(
+          dst + 64, _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(v, 1)));
+    } else {
+      BIPIE_DCHECK(false);  // widths above 8 need at least 2-byte words
+    }
+  }
+
+  BIPIE_ALWAYS_INLINE void Qwords(size_t i, __m512i v) {
+    uint8_t* dst = out + i * kWord;
+    if constexpr (kWord == 4) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
+                          _mm512_cvtepi64_epi32(v));
+    } else if constexpr (kWord == 8) {
+      _mm512_storeu_si512(dst, v);
+    } else {
+      BIPIE_DCHECK(false);  // widths above 25 need at least 4-byte words
+    }
+  }
+};
+
+// lo <= v <= hi  <=>  v - lo <= hi - lo in wrapping unsigned arithmetic at
+// the lane width (every value and bound fits the lane).
+template <bool kAndInto>
+struct SelectSink {
+  SelectSink(const PackedRange& range, uint8_t* out)
+      : sel(out),
+        lo(range.lo),
+        span(range.hi - range.lo),
+        flip(range.negate ? ~uint64_t{0} : 0) {}
+
+  BIPIE_ALWAYS_INLINE void Bytes(size_t i, __m512i v) {
+    const __mmask64 pass =
+        _mm512_cmple_epu8_mask(
+            _mm512_sub_epi8(v, _mm512_set1_epi8(static_cast<char>(lo))),
+            _mm512_set1_epi8(static_cast<char>(span))) ^
+        static_cast<__mmask64>(flip);
+    const __m512i bytes =
+        kAndInto ? _mm512_maskz_mov_epi8(pass, _mm512_loadu_si512(sel + i))
+                 : _mm512_movm_epi8(pass);
+    _mm512_storeu_si512(sel + i, bytes);
+  }
+
+  BIPIE_ALWAYS_INLINE void Dwords(size_t i, __m512i v) {
+    const __mmask16 pass = static_cast<__mmask16>(
+        _mm512_cmple_epu32_mask(
+            _mm512_sub_epi32(v, _mm512_set1_epi32(static_cast<int>(lo))),
+            _mm512_set1_epi32(static_cast<int>(span))) ^
+        static_cast<__mmask16>(flip));
+    const __m128i bytes =
+        kAndInto ? _mm_maskz_mov_epi8(
+                       pass, _mm_loadu_si128(
+                                 reinterpret_cast<const __m128i*>(sel + i)))
+                 : _mm_movm_epi8(pass);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(sel + i), bytes);
+  }
+
+  BIPIE_ALWAYS_INLINE void Qwords(size_t i, __m512i v) {
+    const __mmask8 pass = static_cast<__mmask8>(
+        _mm512_cmple_epu64_mask(
+            _mm512_sub_epi64(v, _mm512_set1_epi64(static_cast<long long>(lo))),
+            _mm512_set1_epi64(static_cast<long long>(span))) ^
+        static_cast<__mmask8>(flip));
+    const __m128i bytes =
+        kAndInto ? _mm_maskz_mov_epi8(
+                       pass, _mm_loadl_epi64(
+                                 reinterpret_cast<const __m128i*>(sel + i)))
+                 : _mm_movm_epi8(pass);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(sel + i), bytes);
+  }
+
+  uint8_t* sel;  // selection byte 0 of the body
+  uint64_t lo;
+  uint64_t span;
+  uint64_t flip;
+};
 
 }  // namespace
 
+#endif  // __AVX512VBMI__
+
+bool VbmiAvailable() {
+#if defined(__AVX512VBMI__)
+  static const bool ok = __builtin_cpu_supports("avx512vbmi") > 0;
+  return ok;
+#else
+  return false;
+#endif
+}
+
 void BitUnpackAvx512(const uint8_t* src, size_t start, size_t n,
                      int bit_width, void* out, int word_bytes) {
-  if (bit_width > 25) {
-    // The AVX2 tier's 64-bit gather path already saturates these widths.
-    BitUnpackAvx2(src, start, n, bit_width, out, word_bytes);
+#if defined(__AVX512VBMI__)
+  if (VbmiAvailable() && bit_width <= 57) {
+    auto* dst = static_cast<uint8_t*>(out);
+    SplitAtByteBoundary(
+        src, start, n, bit_width,
+        [&](const uint8_t* p, size_t offset, size_t count) -> size_t {
+          uint8_t* o = dst + offset * word_bytes;
+          switch (word_bytes) {
+            case 1: return Body(p, count, bit_width, UnpackSink<1>{o});
+            case 2: return Body(p, count, bit_width, UnpackSink<2>{o});
+            case 4: return Body(p, count, bit_width, UnpackSink<4>{o});
+            default: return Body(p, count, bit_width, UnpackSink<8>{o});
+          }
+        },
+        [&](size_t offset, size_t count) {
+          BitUnpackScalarToWord(src, start + offset, count, bit_width,
+                                dst + offset * word_bytes, word_bytes);
+        });
     return;
   }
-  // Same prologue/rebase discipline as the AVX2 tier: align start to a
-  // multiple of 8 so chunk starts fall on byte boundaries, then process in
-  // offset-bounded chunks.
-  auto* dst = static_cast<uint8_t*>(out);
-  size_t prologue = (8 - (start & 7)) & 7;
-  if (prologue > n) prologue = n;
-  if (prologue > 0) {
-    UnpackScalarDispatch512(src, start, prologue, bit_width, dst,
-                            word_bytes);
-    start += prologue;
-    n -= prologue;
-    dst += prologue * word_bytes;
+#endif
+  BitUnpackAvx2(src, start, n, bit_width, out, word_bytes);
+}
+
+void BitPackedSelectAvx512(const uint8_t* src, size_t start, size_t n,
+                           int bit_width, const PackedRange& range,
+                           bool and_into, uint8_t* sel) {
+#if defined(__AVX512VBMI__)
+  if (VbmiAvailable() && bit_width <= 57) {
+    SplitAtByteBoundary(
+        src, start, n, bit_width,
+        [&](const uint8_t* p, size_t offset, size_t count) -> size_t {
+          return and_into
+                     ? Body(p, count, bit_width,
+                            SelectSink<true>(range, sel + offset))
+                     : Body(p, count, bit_width,
+                            SelectSink<false>(range, sel + offset));
+        },
+        [&](size_t offset, size_t count) {
+          BitPackedSelectScalar(src, start + offset, count, bit_width, range,
+                                and_into, sel + offset);
+        });
+    return;
   }
-  src += start * static_cast<uint64_t>(bit_width) / 8;
-  const size_t chunk_values =
-      ((size_t{1} << 30) / static_cast<size_t>(bit_width)) & ~size_t{7};
-  while (n > 0) {
-    const size_t m = n < chunk_values ? n : chunk_values;
-    UnpackNarrow512(src, m, bit_width, dst, word_bytes);
-    src += m * static_cast<uint64_t>(bit_width) / 8;
-    dst += m * word_bytes;
-    n -= m;
-  }
+#endif
+  BitPackedSelectAvx2(src, start, n, bit_width, range, and_into, sel);
 }
 
 }  // namespace bipie::internal

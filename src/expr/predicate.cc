@@ -44,209 +44,50 @@ namespace internal {
 namespace {
 
 template <typename T>
-void CompareScalar(const T* values, size_t n, CompareOp op, uint64_t literal,
-                   uint8_t* sel) {
-  const uint64_t lit = literal;
+void SelectScalar(const T* values, size_t n, const PackedRange& range,
+                  uint8_t* sel) {
   for (size_t i = 0; i < n; ++i) {
     const uint64_t v = values[i];
-    bool hit = false;
-    switch (op) {
-      case CompareOp::kEq: hit = v == lit; break;
-      case CompareOp::kNe: hit = v != lit; break;
-      case CompareOp::kLt: hit = v < lit; break;
-      case CompareOp::kLe: hit = v <= lit; break;
-      case CompareOp::kGt: hit = v > lit; break;
-      case CompareOp::kGe: hit = v >= lit; break;
-      case CompareOp::kBetween: break;  // unreachable (range kernel)
-    }
-    sel[i] = hit ? kRowSelected : kRowRejected;
+    sel[i] = ((v >= range.lo && v <= range.hi) != range.negate)
+                 ? kRowSelected
+                 : kRowRejected;
   }
-}
-
-// Unsigned comparison masks via the sign-bias trick (AVX2 only has signed
-// compares). Returns lanes of all-ones where values[lane] `op` literal.
-BIPIE_ALWAYS_INLINE __m256i MaskU8(__m256i x, __m256i lit_biased,
-                                   __m256i lit_raw, CompareOp op) {
-  const __m256i bias = _mm256_set1_epi8(static_cast<char>(0x80));
-  const __m256i xb = _mm256_xor_si256(x, bias);
-  switch (op) {
-    case CompareOp::kEq:
-      return _mm256_cmpeq_epi8(x, lit_raw);
-    case CompareOp::kNe:
-      return _mm256_xor_si256(_mm256_cmpeq_epi8(x, lit_raw),
-                              _mm256_set1_epi8(-1));
-    case CompareOp::kGt:
-      return _mm256_cmpgt_epi8(xb, lit_biased);
-    case CompareOp::kLe:
-      return _mm256_xor_si256(_mm256_cmpgt_epi8(xb, lit_biased),
-                              _mm256_set1_epi8(-1));
-    case CompareOp::kLt:
-      return _mm256_cmpgt_epi8(lit_biased, xb);
-    case CompareOp::kGe:
-      return _mm256_xor_si256(_mm256_cmpgt_epi8(lit_biased, xb),
-                              _mm256_set1_epi8(-1));
-    case CompareOp::kBetween:
-      break;  // unreachable (range kernel)
-  }
-  return _mm256_setzero_si256();
-}
-
-BIPIE_ALWAYS_INLINE __m256i MaskU16(__m256i x, __m256i lit_biased,
-                                    __m256i lit_raw, CompareOp op) {
-  const __m256i bias = _mm256_set1_epi16(static_cast<short>(0x8000));
-  const __m256i xb = _mm256_xor_si256(x, bias);
-  switch (op) {
-    case CompareOp::kEq:
-      return _mm256_cmpeq_epi16(x, lit_raw);
-    case CompareOp::kNe:
-      return _mm256_xor_si256(_mm256_cmpeq_epi16(x, lit_raw),
-                              _mm256_set1_epi8(-1));
-    case CompareOp::kGt:
-      return _mm256_cmpgt_epi16(xb, lit_biased);
-    case CompareOp::kLe:
-      return _mm256_xor_si256(_mm256_cmpgt_epi16(xb, lit_biased),
-                              _mm256_set1_epi8(-1));
-    case CompareOp::kLt:
-      return _mm256_cmpgt_epi16(lit_biased, xb);
-    case CompareOp::kGe:
-      return _mm256_xor_si256(_mm256_cmpgt_epi16(lit_biased, xb),
-                              _mm256_set1_epi8(-1));
-    case CompareOp::kBetween:
-      break;  // unreachable (range kernel)
-  }
-  return _mm256_setzero_si256();
-}
-
-BIPIE_ALWAYS_INLINE __m256i MaskU32(__m256i x, __m256i lit_biased,
-                                    __m256i lit_raw, CompareOp op) {
-  const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  const __m256i xb = _mm256_xor_si256(x, bias);
-  switch (op) {
-    case CompareOp::kEq:
-      return _mm256_cmpeq_epi32(x, lit_raw);
-    case CompareOp::kNe:
-      return _mm256_xor_si256(_mm256_cmpeq_epi32(x, lit_raw),
-                              _mm256_set1_epi8(-1));
-    case CompareOp::kGt:
-      return _mm256_cmpgt_epi32(xb, lit_biased);
-    case CompareOp::kLe:
-      return _mm256_xor_si256(_mm256_cmpgt_epi32(xb, lit_biased),
-                              _mm256_set1_epi8(-1));
-    case CompareOp::kLt:
-      return _mm256_cmpgt_epi32(lit_biased, xb);
-    case CompareOp::kGe:
-      return _mm256_xor_si256(_mm256_cmpgt_epi32(lit_biased, xb),
-                              _mm256_set1_epi8(-1));
-    case CompareOp::kBetween:
-      break;  // unreachable (range kernel)
-  }
-  return _mm256_setzero_si256();
-}
-
-void CompareU8Avx2(const uint8_t* values, size_t n, CompareOp op,
-                   uint64_t literal, uint8_t* sel) {
-  const __m256i lit_raw = _mm256_set1_epi8(static_cast<char>(literal));
-  const __m256i lit_biased =
-      _mm256_xor_si256(lit_raw, _mm256_set1_epi8(static_cast<char>(0x80)));
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sel + i),
-                        MaskU8(x, lit_biased, lit_raw, op));
-  }
-  CompareScalar(values + i, n - i, op, literal, sel + i);
-}
-
-void CompareU16Avx2(const uint16_t* values, size_t n, CompareOp op,
-                    uint64_t literal, uint8_t* sel) {
-  const __m256i lit_raw = _mm256_set1_epi16(static_cast<short>(literal));
-  const __m256i lit_biased = _mm256_xor_si256(
-      lit_raw, _mm256_set1_epi16(static_cast<short>(0x8000)));
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i m0 =
-        MaskU16(_mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + i)),
-                lit_biased, lit_raw, op);
-    const __m256i m1 =
-        MaskU16(_mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + i + 16)),
-                lit_biased, lit_raw, op);
-    // packs keeps 0x0000/0xFFFF masks intact as 0x00/0xFF bytes.
-    __m256i bytes = _mm256_packs_epi16(m0, m1);
-    bytes = _mm256_permute4x64_epi64(bytes, 0xD8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sel + i), bytes);
-  }
-  CompareScalar(values + i, n - i, op, literal, sel + i);
-}
-
-void CompareU32Avx2(const uint32_t* values, size_t n, CompareOp op,
-                    uint64_t literal, uint8_t* sel) {
-  const __m256i lit_raw = _mm256_set1_epi32(static_cast<int>(literal));
-  const __m256i lit_biased = _mm256_xor_si256(
-      lit_raw, _mm256_set1_epi32(static_cast<int>(0x80000000u)));
-  const __m256i fix = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    __m256i m[4];
-    for (int k = 0; k < 4; ++k) {
-      m[k] = MaskU32(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                         values + i + 8 * k)),
-                     lit_biased, lit_raw, op);
-    }
-    const __m256i p01 = _mm256_packs_epi32(m[0], m[1]);
-    const __m256i p23 = _mm256_packs_epi32(m[2], m[3]);
-    __m256i bytes = _mm256_packs_epi16(p01, p23);
-    bytes = _mm256_permutevar8x32_epi32(bytes, fix);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sel + i), bytes);
-  }
-  CompareScalar(values + i, n - i, op, literal, sel + i);
 }
 
 }  // namespace
 
-void CompareUnsignedWordsRange(const void* values, size_t n, int word_bytes,
-                               uint64_t lo, uint64_t hi, uint8_t* sel_out) {
-  // lo <= x <= hi  <=>  (x - lo) <= (hi - lo) in modular unsigned
-  // arithmetic, but the SIMD tier below works directly on the raw values
-  // with two fused masks per vector for clarity; the scalar path uses the
-  // direct comparison.
+void SelectWordsInRange(const void* values, size_t n, int word_bytes,
+                        const PackedRange& range, uint8_t* sel_out) {
+  // x in [lo, hi] <=> max(min(x, hi), lo) == x: a clamp and a compare per
+  // vector, all unsigned, on the AVX2 tier; 8-byte words stay scalar.
   const bool avx2 = CurrentIsaTier() >= IsaTier::kAvx2;
+  const __m256i flip =
+      range.negate ? _mm256_set1_epi8(-1) : _mm256_setzero_si256();
+  size_t i = 0;
   switch (word_bytes) {
     case 1: {
       const auto* v = static_cast<const uint8_t*>(values);
-      if (avx2 && hi <= 0xFF) {
-        // min/max clamp: x in range <=> max(min(x, hi), lo) == x is two
-        // ops; equivalently clamp and compare.
-        const __m256i vlo = _mm256_set1_epi8(static_cast<char>(lo));
-        const __m256i vhi = _mm256_set1_epi8(static_cast<char>(hi));
-        size_t i = 0;
+      if (avx2 && range.hi <= 0xFF) {
+        const __m256i vlo = _mm256_set1_epi8(static_cast<char>(range.lo));
+        const __m256i vhi = _mm256_set1_epi8(static_cast<char>(range.hi));
         for (; i + 32 <= n; i += 32) {
           const __m256i x = _mm256_loadu_si256(
               reinterpret_cast<const __m256i*>(v + i));
           const __m256i clamped =
               _mm256_max_epu8(_mm256_min_epu8(x, vhi), vlo);
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(sel_out + i),
-                              _mm256_cmpeq_epi8(clamped, x));
+          _mm256_storeu_si256(
+              reinterpret_cast<__m256i*>(sel_out + i),
+              _mm256_xor_si256(_mm256_cmpeq_epi8(clamped, x), flip));
         }
-        for (; i < n; ++i) {
-          sel_out[i] =
-              v[i] >= lo && v[i] <= hi ? kRowSelected : kRowRejected;
-        }
-        return;
       }
-      for (size_t i = 0; i < n; ++i) {
-        sel_out[i] = v[i] >= lo && v[i] <= hi ? kRowSelected : kRowRejected;
-      }
+      SelectScalar(v + i, n - i, range, sel_out + i);
       return;
     }
     case 2: {
       const auto* v = static_cast<const uint16_t*>(values);
-      if (avx2 && hi <= 0xFFFF) {
-        const __m256i vlo = _mm256_set1_epi16(static_cast<short>(lo));
-        const __m256i vhi = _mm256_set1_epi16(static_cast<short>(hi));
-        size_t i = 0;
+      if (avx2 && range.hi <= 0xFFFF) {
+        const __m256i vlo = _mm256_set1_epi16(static_cast<short>(range.lo));
+        const __m256i vhi = _mm256_set1_epi16(static_cast<short>(range.hi));
         for (; i + 32 <= n; i += 32) {
           __m256i m[2];
           for (int k = 0; k < 2; ++k) {
@@ -256,29 +97,22 @@ void CompareUnsignedWordsRange(const void* values, size_t n, int word_bytes,
                 _mm256_max_epu16(_mm256_min_epu16(x, vhi), vlo);
             m[k] = _mm256_cmpeq_epi16(clamped, x);
           }
-          __m256i bytes = _mm256_packs_epi16(m[0], m[1]);
-          bytes = _mm256_permute4x64_epi64(bytes, 0xD8);
+          // packs keeps 0x0000/0xFFFF masks intact as 0x00/0xFF bytes.
+          const __m256i bytes =
+              _mm256_permute4x64_epi64(_mm256_packs_epi16(m[0], m[1]), 0xD8);
           _mm256_storeu_si256(reinterpret_cast<__m256i*>(sel_out + i),
-                              bytes);
+                              _mm256_xor_si256(bytes, flip));
         }
-        for (; i < n; ++i) {
-          sel_out[i] =
-              v[i] >= lo && v[i] <= hi ? kRowSelected : kRowRejected;
-        }
-        return;
       }
-      for (size_t i = 0; i < n; ++i) {
-        sel_out[i] = v[i] >= lo && v[i] <= hi ? kRowSelected : kRowRejected;
-      }
+      SelectScalar(v + i, n - i, range, sel_out + i);
       return;
     }
     case 4: {
       const auto* v = static_cast<const uint32_t*>(values);
-      if (avx2 && hi <= 0xFFFFFFFFULL) {
-        const __m256i vlo = _mm256_set1_epi32(static_cast<int>(lo));
-        const __m256i vhi = _mm256_set1_epi32(static_cast<int>(hi));
+      if (avx2 && range.hi <= 0xFFFFFFFFULL) {
+        const __m256i vlo = _mm256_set1_epi32(static_cast<int>(range.lo));
+        const __m256i vhi = _mm256_set1_epi32(static_cast<int>(range.hi));
         const __m256i fix = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-        size_t i = 0;
         for (; i + 32 <= n; i += 32) {
           __m256i m[4];
           for (int k = 0; k < 4; ++k) {
@@ -290,69 +124,17 @@ void CompareUnsignedWordsRange(const void* values, size_t n, int word_bytes,
           }
           const __m256i p01 = _mm256_packs_epi32(m[0], m[1]);
           const __m256i p23 = _mm256_packs_epi32(m[2], m[3]);
-          __m256i bytes = _mm256_packs_epi16(p01, p23);
-          bytes = _mm256_permutevar8x32_epi32(bytes, fix);
+          const __m256i bytes =
+              _mm256_permutevar8x32_epi32(_mm256_packs_epi16(p01, p23), fix);
           _mm256_storeu_si256(reinterpret_cast<__m256i*>(sel_out + i),
-                              bytes);
+                              _mm256_xor_si256(bytes, flip));
         }
-        for (; i < n; ++i) {
-          sel_out[i] =
-              v[i] >= lo && v[i] <= hi ? kRowSelected : kRowRejected;
-        }
-        return;
       }
-      for (size_t i = 0; i < n; ++i) {
-        sel_out[i] = v[i] >= lo && v[i] <= hi ? kRowSelected : kRowRejected;
-      }
+      SelectScalar(v + i, n - i, range, sel_out + i);
       return;
     }
-    case 8: {
-      const auto* v = static_cast<const uint64_t*>(values);
-      for (size_t i = 0; i < n; ++i) {
-        sel_out[i] = v[i] >= lo && v[i] <= hi ? kRowSelected : kRowRejected;
-      }
-      return;
-    }
-    default:
-      BIPIE_DCHECK(false);
-  }
-}
-
-void CompareUnsignedWords(const void* values, size_t n, int word_bytes,
-                          CompareOp op, uint64_t literal, uint8_t* sel_out) {
-  BIPIE_DCHECK(op != CompareOp::kBetween);
-  const bool avx2 = CurrentIsaTier() >= IsaTier::kAvx2;
-  switch (word_bytes) {
-    case 1:
-      if (avx2 && literal <= 0xFF) {
-        CompareU8Avx2(static_cast<const uint8_t*>(values), n, op, literal,
-                      sel_out);
-      } else {
-        CompareScalar(static_cast<const uint8_t*>(values), n, op, literal,
-                      sel_out);
-      }
-      return;
-    case 2:
-      if (avx2 && literal <= 0xFFFF) {
-        CompareU16Avx2(static_cast<const uint16_t*>(values), n, op, literal,
-                       sel_out);
-      } else {
-        CompareScalar(static_cast<const uint16_t*>(values), n, op, literal,
-                      sel_out);
-      }
-      return;
-    case 4:
-      if (avx2 && literal <= 0xFFFFFFFFULL) {
-        CompareU32Avx2(static_cast<const uint32_t*>(values), n, op, literal,
-                       sel_out);
-      } else {
-        CompareScalar(static_cast<const uint32_t*>(values), n, op, literal,
-                      sel_out);
-      }
-      return;
     case 8:
-      CompareScalar(static_cast<const uint64_t*>(values), n, op, literal,
-                    sel_out);
+      SelectScalar(static_cast<const uint64_t*>(values), n, range, sel_out);
       return;
     default:
       BIPIE_DCHECK(false);
@@ -394,80 +176,170 @@ RebasedVerdict RebaseLiteral(CompareOp op, int64_t literal, int64_t base,
   return RebasedVerdict::kCompare;
 }
 
-// Per-thread unpack scratch, registered with the tracker re-home list: it
-// outlives any one query, so a query tracker scope exiting must be able to
-// move its retained charge back to the process root.
+// BETWEEN lo AND hi intersected with the column domain [min, max] and
+// rebased to inclusive offsets.
+RebasedVerdict RebaseBetween(int64_t lo, int64_t hi, const EncodedColumn& col,
+                             uint64_t* lo_off, uint64_t* hi_off) {
+  if (hi < col.meta().min || lo > col.meta().max || lo > hi) {
+    return RebasedVerdict::kNoRows;
+  }
+  if (lo <= col.meta().min && hi >= col.meta().max) {
+    return RebasedVerdict::kAllRows;
+  }
+  const uint64_t base = static_cast<uint64_t>(col.base());
+  *lo_off = static_cast<uint64_t>(std::max(lo, col.meta().min)) - base;
+  *hi_off = static_cast<uint64_t>(std::min(hi, col.meta().max)) - base;
+  return RebasedVerdict::kCompare;
+}
+
+// The predicate as one inclusive range of a column's unsigned offsets
+// (PackedRange), clipped to the offsets its bit width can hold: bit-packed
+// columns filter on it in registers, byte-sliced ones after assembling.
+RebasedVerdict RebaseToPackedRange(CompareOp op, int64_t literal,
+                                   int64_t literal2, const EncodedColumn& col,
+                                   PackedRange* range) {
+  const uint64_t top = LowBitsMask(col.bit_width());
+  if (op == CompareOp::kBetween) {
+    const RebasedVerdict v =
+        RebaseBetween(literal, literal2, col, &range->lo, &range->hi);
+    if (v != RebasedVerdict::kCompare) return v;
+    if (range->lo > top) return RebasedVerdict::kNoRows;
+    range->hi = std::min(range->hi, top);
+    return RebasedVerdict::kCompare;
+  }
+  uint64_t r = 0;
+  const RebasedVerdict v =
+      RebaseLiteral(op, literal, col.base(), col.meta().max, &r);
+  if (v != RebasedVerdict::kCompare) return v;
+  if (r > top) {  // above every offset the stream can hold
+    return op == CompareOp::kNe || op == CompareOp::kLt ||
+                   op == CompareOp::kLe
+               ? RebasedVerdict::kAllRows
+               : RebasedVerdict::kNoRows;
+  }
+  switch (op) {
+    case CompareOp::kEq:
+      *range = {r, r, false};
+      break;
+    case CompareOp::kNe:
+      *range = {r, r, true};
+      break;
+    case CompareOp::kLt:
+      if (r == 0) return RebasedVerdict::kNoRows;
+      *range = {0, r - 1, false};
+      break;
+    case CompareOp::kLe:
+      *range = {0, r, false};
+      break;
+    case CompareOp::kGt:
+      if (r == top) return RebasedVerdict::kNoRows;
+      *range = {r + 1, top, false};
+      break;
+    case CompareOp::kGe:
+      *range = {r, top, false};
+      break;
+    case CompareOp::kBetween:
+      break;  // handled above
+  }
+  return RebasedVerdict::kCompare;
+}
+
+// Per-thread scratch buffers, registered with the tracker re-home list:
+// they outlive any one query, so a query tracker scope exiting must be able
+// to move their retained charge back to the process root.
+AlignedBuffer& RegisteredScratch(AlignedBuffer* buffer) {
+  RegisterThreadScratchBuffer(buffer);
+  return *buffer;
+}
+
+// Unpacked ids/offsets for the decode-then-compare paths.
 AlignedBuffer& UnpackScratch() {
   thread_local AlignedBuffer scratch;
-  thread_local const bool registered = [] {
-    RegisterThreadScratchBuffer(&scratch);
-    return true;
-  }();
-  (void)registered;
-  return scratch;
+  thread_local AlignedBuffer& registered = RegisteredScratch(&scratch);
+  return registered;
+}
+
+// Verdicts of an AND-into evaluation on encodings that write whole bytes.
+AlignedBuffer& VerdictScratch() {
+  thread_local AlignedBuffer scratch;
+  thread_local AlignedBuffer& registered = RegisteredScratch(&scratch);
+  return registered;
 }
 
 }  // namespace
 
 Status ColumnPredicate::Evaluate(const EncodedColumn& col, size_t start,
                                  size_t n, uint8_t* sel_out,
-                                 bool use_byteslice_kernel) const {
+                                 bool use_byteslice_kernel,
+                                 SelectionWrite write) const {
+  const bool and_into = write == SelectionWrite::kAndInto;
+  if (col.encoding() == Encoding::kBitPacked) {
+    PackedRange range;
+    switch (RebaseToPackedRange(op_, literal_, literal2_, col, &range)) {
+      case RebasedVerdict::kAllRows:
+        if (!and_into) std::memset(sel_out, kRowSelected, n);
+        return Status::OK();
+      case RebasedVerdict::kNoRows:
+        std::memset(sel_out, kRowRejected, n);
+        return Status::OK();
+      case RebasedVerdict::kCompare:
+        break;
+    }
+    BitPackedSelect(col.packed_data(), start, n, col.bit_width(), range,
+                    and_into, sel_out);
+    return Status::OK();
+  }
+  if (!and_into) {
+    return EvaluateEncoded(col, start, n, sel_out, use_byteslice_kernel);
+  }
+  AlignedBuffer& verdicts = VerdictScratch();
+  verdicts.Resize(n);
+  BIPIE_RETURN_NOT_OK(
+      EvaluateEncoded(col, start, n, verdicts.data(), use_byteslice_kernel));
+  AndSelection(sel_out, verdicts.data(), n, sel_out);
+  return Status::OK();
+}
+
+Status ColumnPredicate::EvaluateEncoded(const EncodedColumn& col,
+                                        size_t start, size_t n,
+                                        uint8_t* sel_out,
+                                        bool use_byteslice_kernel) const {
   switch (col.encoding()) {
     case Encoding::kByteSliced: {
       const int w = col.bit_width();
-      const int np = ByteSlicePlanes(w);
-      if (op_ == CompareOp::kBetween) {
-        // Intersect [literal_, literal2_] with the column domain, exactly
-        // like the bit-packed path.
-        if (literal2_ < col.meta().min || literal_ > col.meta().max ||
-            literal_ > literal2_) {
-          std::memset(sel_out, kRowRejected, n);
+      if (use_byteslice_kernel) {
+        // Plane kernels work on the stored planes directly: no scratch, no
+        // decode.
+        const int np = ByteSlicePlanes(w);
+        uint64_t lo = 0, hi = 0;
+        const RebasedVerdict verdict =
+            op_ == CompareOp::kBetween
+                ? RebaseBetween(literal_, literal2_, col, &lo, &hi)
+                : RebaseLiteral(op_, literal_, col.base(), col.meta().max,
+                                &lo);
+        if (verdict != RebasedVerdict::kCompare) {
+          std::memset(sel_out,
+                      verdict == RebasedVerdict::kAllRows ? kRowSelected
+                                                          : kRowRejected,
+                      n);
           return Status::OK();
         }
-        if (literal_ <= col.meta().min && literal2_ >= col.meta().max) {
-          std::memset(sel_out, kRowSelected, n);
-          return Status::OK();
-        }
-        const int64_t lo_clamped = std::max(literal_, col.meta().min);
-        const int64_t hi_clamped = std::min(literal2_, col.meta().max);
-        const uint64_t lo_off = static_cast<uint64_t>(lo_clamped) -
-                                static_cast<uint64_t>(col.base());
-        const uint64_t hi_off = static_cast<uint64_t>(hi_clamped) -
-                                static_cast<uint64_t>(col.base());
-        if (use_byteslice_kernel) {
-          // Plane kernels work on the stored planes directly: no scratch,
-          // no decode.
-          ByteSliceCompare(col.packed_data(), col.num_rows(), np, start, n,
-                           CompareOp::kBetween, ByteSliceShift(lo_off, w),
-                           ByteSliceShift(hi_off, w), sel_out);
-          return Status::OK();
-        }
-        const int word = SmallestWordBytes(w);
-        if (BIPIE_FAILPOINT("scan/byteslice_scratch_alloc") ||
-            !UnpackScratch().TryResize(n * static_cast<size_t>(word))) {
-          return Status::ResourceExhausted(
-              "byteslice decode scratch allocation failed");
-        }
-        col.UnpackIds(start, n, UnpackScratch().data(), word);
-        internal::CompareUnsignedWordsRange(UnpackScratch().data(), n, word,
-                                            lo_off, hi_off, sel_out);
+        ByteSliceCompare(col.packed_data(), col.num_rows(), np, start, n,
+                         op_, ByteSliceShift(lo, w),
+                         op_ == CompareOp::kBetween ? ByteSliceShift(hi, w)
+                                                    : 0,
+                         sel_out);
         return Status::OK();
       }
-      uint64_t rebased = 0;
-      switch (RebaseLiteral(op_, literal_, col.base(), col.meta().max,
-                            &rebased)) {
-        case RebasedVerdict::kAllRows:
-          std::memset(sel_out, kRowSelected, n);
-          return Status::OK();
-        case RebasedVerdict::kNoRows:
-          std::memset(sel_out, kRowRejected, n);
-          return Status::OK();
-        case RebasedVerdict::kCompare:
-          break;
-      }
-      if (use_byteslice_kernel) {
-        ByteSliceCompare(col.packed_data(), col.num_rows(), np, start, n,
-                         op_, ByteSliceShift(rebased, w), 0, sel_out);
+      // Assemble-then-compare: the same offset range as bit-packed columns.
+      PackedRange range;
+      const RebasedVerdict verdict =
+          RebaseToPackedRange(op_, literal_, literal2_, col, &range);
+      if (verdict != RebasedVerdict::kCompare) {
+        std::memset(sel_out,
+                    verdict == RebasedVerdict::kAllRows ? kRowSelected
+                                                        : kRowRejected,
+                    n);
         return Status::OK();
       }
       const int word = SmallestWordBytes(w);
@@ -477,54 +349,12 @@ Status ColumnPredicate::Evaluate(const EncodedColumn& col, size_t start,
             "byteslice decode scratch allocation failed");
       }
       col.UnpackIds(start, n, UnpackScratch().data(), word);
-      internal::CompareUnsignedWords(UnpackScratch().data(), n, word, op_,
-                                     rebased, sel_out);
+      internal::SelectWordsInRange(UnpackScratch().data(), n, word, range,
+                                   sel_out);
       return Status::OK();
     }
-    case Encoding::kBitPacked: {
-      if (op_ == CompareOp::kBetween) {
-        // Intersect [literal_, literal2_] with the column domain.
-        if (literal2_ < col.meta().min || literal_ > col.meta().max ||
-            literal_ > literal2_) {
-          std::memset(sel_out, kRowRejected, n);
-          return Status::OK();
-        }
-        if (literal_ <= col.meta().min && literal2_ >= col.meta().max) {
-          std::memset(sel_out, kRowSelected, n);
-          return Status::OK();
-        }
-        const int64_t lo_clamped = std::max(literal_, col.meta().min);
-        const int64_t hi_clamped = std::min(literal2_, col.meta().max);
-        const uint64_t lo_off = static_cast<uint64_t>(lo_clamped) -
-                                static_cast<uint64_t>(col.base());
-        const uint64_t hi_off = static_cast<uint64_t>(hi_clamped) -
-                                static_cast<uint64_t>(col.base());
-        const int word = SmallestWordBytes(col.bit_width());
-        UnpackScratch().Resize(n * word);
-        col.UnpackIds(start, n, UnpackScratch().data(), word);
-        internal::CompareUnsignedWordsRange(UnpackScratch().data(), n, word,
-                                            lo_off, hi_off, sel_out);
-        return Status::OK();
-      }
-      uint64_t rebased = 0;
-      switch (RebaseLiteral(op_, literal_, col.base(), col.meta().max,
-                            &rebased)) {
-        case RebasedVerdict::kAllRows:
-          std::memset(sel_out, kRowSelected, n);
-          return Status::OK();
-        case RebasedVerdict::kNoRows:
-          std::memset(sel_out, kRowRejected, n);
-          return Status::OK();
-        case RebasedVerdict::kCompare:
-          break;
-      }
-      const int word = SmallestWordBytes(col.bit_width());
-      UnpackScratch().Resize(n * word);
-      col.UnpackIds(start, n, UnpackScratch().data(), word);
-      internal::CompareUnsignedWords(UnpackScratch().data(), n, word, op_,
-                                     rebased, sel_out);
-      return Status::OK();
-    }
+    case Encoding::kBitPacked:
+      return Status::Internal("bit-packed columns take the fused path");
     case Encoding::kDictionary: {
       // Verdict table over dictionary ids, rebuilt per evaluation window
       // (cheap relative to batch work: <= dictionary size byte writes).

@@ -1,13 +1,14 @@
 // Filter evaluation (§3, "Filter" component).
 //
-// Evaluates `column <op> literal` (and conjunctions thereof, via
-// AndSelection) over a window of an encoded column, producing a selection
-// byte vector — 0xFF selected / 0x00 rejected, the layout SIMD comparisons
-// emit natively.
+// Evaluates `column <op> literal` over a window of an encoded column,
+// producing a selection byte vector — 0xFF selected / 0x00 rejected, the
+// layout SIMD comparisons emit natively — or ANDing its verdicts into one
+// (conjunctions).
 //
 // Predicates are evaluated *in the encoded domain* where possible:
-//  * bit-packed columns compare unpacked offsets against the literal
-//    rebased by the frame-of-reference (no full decode to int64);
+//  * bit-packed columns compare offsets against the literal rebased by the
+//    frame-of-reference, as one inclusive offset range, inside the unpack
+//    kernel's registers (BitPackedSelect): no decode, no unpack scratch;
 //  * dictionary columns precompute a per-id verdict table once and map the
 //    id stream through it;
 //  * RLE columns evaluate once per run.
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "encoding/bitpack.h"
 #include "storage/encoded_column.h"
 
 namespace bipie {
@@ -32,6 +34,11 @@ struct SelInterval {
 };
 
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe, kBetween };
+
+// How ColumnPredicate::Evaluate stores its verdicts: overwrite the
+// selection bytes, or AND them into the canonical bytes already there, so
+// conjuncts 2..k of a filter fold into one selection vector in place.
+enum class SelectionWrite { kOverwrite, kAndInto };
 
 // Scalar verdict, used for dictionary tables and RLE runs. For kBetween,
 // `literal` is the inclusive lower bound and `literal2` the inclusive upper.
@@ -70,8 +77,9 @@ class ColumnPredicate {
   int64_t literal() const { return literal_; }
   int64_t literal2() const { return literal2_; }
 
-  // Evaluates rows [start, start + n) of `col`, writing n selection bytes.
-  // sel_out needs 32 bytes of write slack (AlignedBuffer padding).
+  // Evaluates rows [start, start + n) of `col`, writing (or, with
+  // SelectionWrite::kAndInto, ANDing into) n selection bytes. sel_out needs
+  // 32 bytes of write slack (AlignedBuffer padding).
   //
   // For kByteSliced columns, `use_byteslice_kernel` selects between the
   // early-pruning plane kernels (vector/byteslice_scan.h) and the
@@ -80,7 +88,8 @@ class ColumnPredicate {
   // never see byteslice columns (or want the reference path, like the
   // differential oracle) keep the default.
   Status Evaluate(const EncodedColumn& col, size_t start, size_t n,
-                  uint8_t* sel_out, bool use_byteslice_kernel = false) const;
+                  uint8_t* sel_out, bool use_byteslice_kernel = false,
+                  SelectionWrite write = SelectionWrite::kOverwrite) const;
 
   // True when the segment's metadata proves every row fails the predicate.
   bool EliminatesSegment(const EncodedColumn& col) const;
@@ -100,6 +109,10 @@ class ColumnPredicate {
                       std::vector<SelInterval>* out) const;
 
  private:
+  // Evaluate's overwrite path for every encoding but kBitPacked.
+  Status EvaluateEncoded(const EncodedColumn& col, size_t start, size_t n,
+                         uint8_t* sel_out, bool use_byteslice_kernel) const;
+
   std::string column_;
   CompareOp op_;
   int64_t literal_;
@@ -109,16 +122,12 @@ class ColumnPredicate {
 };
 
 namespace internal {
-// Compares unpacked unsigned words against a literal; used by the
-// bit-packed fast path and exposed for tests. word_bytes in {1,2,4,8}.
-// literal_in_domain must already be clamped into the unsigned offset domain.
-// kBetween is not accepted here; use CompareUnsignedWordsRange.
-void CompareUnsignedWords(const void* values, size_t n, int word_bytes,
-                          CompareOp op, uint64_t literal, uint8_t* sel_out);
-
-// sel_out[i] = lo <= values[i] <= hi (inclusive, unsigned domain).
-void CompareUnsignedWordsRange(const void* values, size_t n, int word_bytes,
-                               uint64_t lo, uint64_t hi, uint8_t* sel_out);
+// sel_out[i] = 0xFF when values[i] passes `range` (the PackedRange form
+// every comparison takes on an unsigned offset), else 0x00. The
+// decode-then-compare path for byte-sliced columns; exposed for tests.
+// word_bytes in {1,2,4,8}.
+void SelectWordsInRange(const void* values, size_t n, int word_bytes,
+                        const PackedRange& range, uint8_t* sel_out);
 }  // namespace internal
 
 }  // namespace bipie

@@ -160,7 +160,7 @@ uint64_t SumBitPackedRange(const uint8_t* packed, size_t start, size_t n,
                            int bit_width) {
   if (n == 0) return 0;
   if (bit_width <= 25 && CurrentIsaTier() >= IsaTier::kAvx512 &&
-      internal::SumBitPackedAvx512Available()) {
+      internal::VbmiAvailable()) {
     return internal::SumBitPackedAvx512(packed, start, n, bit_width);
   }
   // Unpack in L1-resident chunks at the smallest word width and reduce each

@@ -26,8 +26,8 @@ uint64_t HorizontalSumWords(const void* values, size_t n, int word_bytes);
 // Sum of packed values [start, start + n) of a bit-packed stream, in the
 // unsigned offset domain, without materializing the unpacked words when the
 // ISA allows it. On AVX-512 VBMI hardware, widths <= 25 use a fused
-// shuffle-extract-accumulate kernel (VPERMB window placement instead of the
-// unpack tier's dword gathers); other tiers and widths unpack in
+// shuffle-extract-accumulate kernel (the unpack tier's VPERMB window
+// placement, accumulated in registers); other tiers and widths unpack in
 // L1-resident chunks and reduce with HorizontalSumWords. The packed buffer
 // must carry AlignedBuffer::kPaddingBytes of readable padding.
 uint64_t SumBitPackedRange(const uint8_t* packed, size_t start, size_t n,
@@ -42,10 +42,8 @@ uint64_t HorizontalSumWordsScalar(const void* values, size_t n,
 uint64_t SumBitPackedRangeScalar(const uint8_t* packed, size_t start,
                                  size_t n, int bit_width);
 
-// AVX-512 VBMI tier, defined in run_agg_avx512.cc. Available() is false
-// when the binary was built without VBMI support or the CPU lacks it; the
-// kernel requires bit_width <= 25 and Available() == true.
-bool SumBitPackedAvx512Available();
+// AVX-512 VBMI tier, defined in run_agg_avx512.cc. Requires
+// bit_width <= 25 and internal::VbmiAvailable() (encoding/bitpack.h).
 uint64_t SumBitPackedAvx512(const uint8_t* packed, size_t start, size_t n,
                             int bit_width);
 

@@ -1,28 +1,24 @@
 // AVX-512 VBMI tier of the run-span SUM kernel.
 //
-// The generic unpack tier extracts 16 values per iteration through a dword
-// gather (~0.5 cycles/value of port pressure); a horizontal sum never needs
-// the values in row order, so this tier replaces the gather with byte
-// shuffles over one 64-byte load and accumulates in registers:
+// A horizontal sum never needs the values in row order or in memory, so
+// this tier fuses the unpack tier's VBMI window placement
+// (encoding/bitpack_vbmi.h) with accumulation in registers:
 //
-//   w <= 8:  VPERMB groups each 8-value w-byte window into a qword, then
-//            VPMULTISHIFTQB extracts all 8 values of every qword at once
-//            and VPSADBW folds the 64 resulting bytes into u64 lanes.
-//            64 values per ~5-instruction iteration.
-//   w <= 25: VPERMB places each value's 4-byte window into its dword lane
-//            (the 16 windows of one iteration span at most 50 bytes, so a
-//            single 64-byte load covers them), then VPSRLVD + mask. u32
-//            lanes accumulate and flush to u64 every 64 iterations, which
-//            cannot overflow (64 * (2^25 - 1) < 2^31).
+//   w <= 8:  byte fields (VPERMB + VPMULTISHIFTQB) yield 64 values per
+//            load, and VPSADBW folds the 64 bytes into u64 lanes.
+//   w <= 25: dword windows (VPERMB + VPSRLVD + mask) yield 16 values per
+//            load. u32 lanes accumulate and flush to u64 every 64
+//            iterations, which cannot overflow (64 * (2^25 - 1) < 2^31).
 //
-// VBMI (VPERMB/VPMULTISHIFTQB) is not part of the toolbox's kAvx512 tier
-// contract (F+DQ+BW+VL), so availability is probed separately at runtime.
+// VBMI is probed at runtime (internal::VbmiAvailable()), like the unpack
+// kernels.
 #include <immintrin.h>
 
 #include <algorithm>
 
 #include "common/macros.h"
 #include "encoding/bitpack.h"
+#include "encoding/bitpack_vbmi.h"
 #include "vector/run_agg.h"
 
 namespace bipie::internal {
@@ -37,31 +33,18 @@ uint64_t SumScalarTail(const uint8_t* src, size_t start, size_t n, int w) {
 
 #if defined(__AVX512VBMI__)
 
-// src points at the byte of value 0 (caller pre-aligned the range so value
-// 0 starts on a byte boundary). Widths 1..8.
+// src points at the byte of value 0, which starts on a byte boundary
+// (SplitAtByteBoundary). Widths 1..8.
 uint64_t SumNarrowVbmi(const uint8_t* src, size_t n, int w) {
-  alignas(64) uint8_t perm_idx[64];
-  alignas(64) uint8_t shift_ctl[64];
-  for (int q = 0; q < 8; ++q) {
-    for (int j = 0; j < 8; ++j) {
-      // Qword q holds values [8q, 8q + 8) = packed bytes [q*w, q*w + w).
-      perm_idx[q * 8 + j] = static_cast<uint8_t>(q * w + j);
-      // Byte j of each qword extracts the 8 bits at offset j*w (<= 56).
-      shift_ctl[q * 8 + j] = static_cast<uint8_t>(j * w);
-    }
-  }
-  const __m512i idx = _mm512_load_si512(perm_idx);
-  const __m512i ctl = _mm512_load_si512(shift_ctl);
+  const VbmiWindows win = MakeVbmiByteFields(w);
   const __m512i mask =
       _mm512_set1_epi8(static_cast<char>(LowBitsMask(w) & 0xFF));
   const __m512i zero = _mm512_setzero_si512();
   __m512i acc = zero;
   size_t i = 0;
   for (; i + 64 <= n; i += 64) {
-    const __m512i raw = _mm512_loadu_si512(src + i * static_cast<size_t>(w) / 8);
-    const __m512i grouped = _mm512_permutexvar_epi8(idx, raw);
     const __m512i vals =
-        _mm512_and_si512(_mm512_multishift_epi64_epi8(ctl, grouped), mask);
+        DecodeVbmiBytes(src + i * static_cast<size_t>(w) / 8, win, mask);
     acc = _mm512_add_epi64(acc, _mm512_sad_epu8(vals, zero));
   }
   return _mm512_reduce_add_epi64(acc) + SumScalarTail(src, i, n - i, w);
@@ -69,18 +52,7 @@ uint64_t SumNarrowVbmi(const uint8_t* src, size_t n, int w) {
 
 // Widths 9..25; same pre-alignment contract as SumNarrowVbmi.
 uint64_t SumMidVbmi(const uint8_t* src, size_t n, int w) {
-  alignas(64) uint8_t perm_idx[64];
-  alignas(64) uint32_t shifts[16];
-  for (int l = 0; l < 16; ++l) {
-    const int bit = l * w;
-    const int byte = bit >> 3;  // <= 46 for w <= 25: one load covers all 16
-    for (int j = 0; j < 4; ++j) {
-      perm_idx[l * 4 + j] = static_cast<uint8_t>(byte + j);
-    }
-    shifts[l] = static_cast<uint32_t>(bit & 7);
-  }
-  const __m512i idx = _mm512_load_si512(perm_idx);
-  const __m512i shift = _mm512_load_si512(shifts);
+  const VbmiWindows win = MakeVbmiWindows<4>(w);
   const __m512i mask =
       _mm512_set1_epi32(static_cast<int>(LowBitsMask(w)));
   __m512i acc64 = _mm512_setzero_si512();
@@ -91,11 +63,9 @@ uint64_t SumMidVbmi(const uint8_t* src, size_t n, int w) {
     const size_t block_end = std::min(vectorized, i + 16 * kFlushIters);
     __m512i acc32 = _mm512_setzero_si512();
     for (; i < block_end; i += 16) {
-      const __m512i raw =
-          _mm512_loadu_si512(src + i * static_cast<size_t>(w) / 8);
-      const __m512i windows = _mm512_permutexvar_epi8(idx, raw);
       acc32 = _mm512_add_epi32(
-          acc32, _mm512_and_si512(_mm512_srlv_epi32(windows, shift), mask));
+          acc32,
+          DecodeVbmiDwords(src + i * static_cast<size_t>(w) / 8, win, mask));
     }
     acc64 = _mm512_add_epi64(
         acc64, _mm512_cvtepu32_epi64(_mm512_castsi512_si256(acc32)));
@@ -109,33 +79,24 @@ uint64_t SumMidVbmi(const uint8_t* src, size_t n, int w) {
 
 }  // namespace
 
-bool SumBitPackedAvx512Available() {
-#if defined(__AVX512VBMI__)
-  static const bool ok = __builtin_cpu_supports("avx512vbmi") > 0;
-  return ok;
-#else
-  return false;
-#endif
-}
-
 uint64_t SumBitPackedAvx512(const uint8_t* packed, size_t start, size_t n,
                             int bit_width) {
 #if defined(__AVX512VBMI__)
   BIPIE_DCHECK(bit_width <= 25);
-  // Scalar prologue until value `start` sits on a byte boundary (8 values
-  // of any width always span whole bytes).
-  size_t prologue = (8 - (start & 7)) & 7;
-  if (prologue > n) prologue = n;
-  uint64_t total = SumScalarTail(packed, start, prologue, bit_width);
-  start += prologue;
-  n -= prologue;
-  const uint8_t* base =
-      packed + start * static_cast<uint64_t>(bit_width) / 8;
-  total += bit_width <= 8 ? SumNarrowVbmi(base, n, bit_width)
-                          : SumMidVbmi(base, n, bit_width);
+  uint64_t total = 0;
+  SplitAtByteBoundary(
+      packed, start, n, bit_width,
+      [&](const uint8_t* p, size_t, size_t count) {
+        total += bit_width <= 8 ? SumNarrowVbmi(p, count, bit_width)
+                                : SumMidVbmi(p, count, bit_width);
+        return count;  // the kernels sum their own tails
+      },
+      [&](size_t offset, size_t count) {
+        total += SumScalarTail(packed, start + offset, count, bit_width);
+      });
   return total;
 #else
-  BIPIE_DCHECK(false);  // dispatcher checks SumBitPackedAvx512Available()
+  BIPIE_DCHECK(false);  // dispatcher checks VbmiAvailable()
   return SumScalarTail(packed, start, n, bit_width);
 #endif
 }

@@ -24,46 +24,48 @@ TEST(CompareInt64Test, AllOps) {
   EXPECT_FALSE(CompareInt64(4, CompareOp::kGe, 5));
 }
 
-class CompareWordsSweep
-    : public ::testing::TestWithParam<std::tuple<int, CompareOp>> {};
+// The decode-then-compare kernel over unpacked words: every word width,
+// plain and negated ranges (the <> form), degenerate and full ranges.
+class SelectWordsSweep
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
-TEST_P(CompareWordsSweep, MatchesScalarSemantics) {
+TEST_P(SelectWordsSweep, MatchesScalarSemantics) {
   const int word = std::get<0>(GetParam());
-  const CompareOp op = std::get<1>(GetParam());
+  const bool negate = std::get<1>(GetParam());
   const size_t n = 1037;
   AlignedBuffer values(n * word);
-  Rng rng(word * 100 + static_cast<int>(op));
+  Rng rng(word * 100 + negate);
   const uint64_t domain = word == 8 ? 1000 : (1ULL << (word * 8));
   std::vector<uint64_t> raw(n);
   for (size_t i = 0; i < n; ++i) {
     raw[i] = rng.NextBounded(domain);
     std::memcpy(values.data() + i * word, &raw[i], word);
   }
-  const uint64_t literal = rng.NextBounded(domain);
-  test::ForEachIsaTier([&](IsaTier tier) {
-    AlignedBuffer sel(n);
-    internal::CompareUnsignedWords(values.data(), n, word, op, literal,
-                                   sel.data());
-    for (size_t i = 0; i < n; ++i) {
-      bool expected = false;
-      switch (op) {
-        case CompareOp::kEq: expected = raw[i] == literal; break;
-        case CompareOp::kNe: expected = raw[i] != literal; break;
-        case CompareOp::kLt: expected = raw[i] < literal; break;
-        case CompareOp::kLe: expected = raw[i] <= literal; break;
-        case CompareOp::kGt: expected = raw[i] > literal; break;
-        case CompareOp::kGe: expected = raw[i] >= literal; break;
+  const uint64_t lit = rng.NextBounded(domain);
+  const uint64_t other = rng.NextBounded(domain);
+  const PackedRange ranges[] = {{lit, lit, negate},
+                                {0, lit, negate},
+                                {lit, domain - 1, negate},
+                                {std::min(lit, other), std::max(lit, other),
+                                 negate},
+                                {0, domain - 1, negate}};
+  for (const PackedRange& r : ranges) {
+    test::ForEachIsaTier([&](IsaTier tier) {
+      AlignedBuffer sel(n);
+      internal::SelectWordsInRange(values.data(), n, word, r, sel.data());
+      for (size_t i = 0; i < n; ++i) {
+        const bool expected = (raw[i] >= r.lo && raw[i] <= r.hi) != negate;
+        ASSERT_EQ(sel.data()[i], expected ? 0xFF : 0x00)
+            << "word=" << word << " lo=" << r.lo << " hi=" << r.hi
+            << " i=" << i << " tier=" << IsaTierName(tier);
       }
-      ASSERT_EQ(sel.data()[i], expected ? 0xFF : 0x00)
-          << "word=" << word << " i=" << i << " tier=" << IsaTierName(tier);
-    }
-  });
+    });
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    WidthsAndOps, CompareWordsSweep,
-    ::testing::Combine(::testing::Values(1, 2, 4, 8),
-                       ::testing::ValuesIn(kAllOps)));
+INSTANTIATE_TEST_SUITE_P(WordsAndNegation, SelectWordsSweep,
+                         ::testing::Combine(::testing::Values(1, 2, 4, 8),
+                                            ::testing::Bool()));
 
 EncodedColumn MakeColumn(EncodingChoice choice, const std::vector<int64_t>& v) {
   ColumnBuilder b({"c", ColumnType::kInt64, choice});
@@ -189,6 +191,93 @@ TEST(PredicateTest, LiteralOutsideDomainShortCircuits) {
   ColumnPredicate ge("c", CompareOp::kGe, 100);
   ASSERT_TRUE(ge.Evaluate(col, 0, 3, sel.data()).ok());
   EXPECT_EQ(sel.data()[0], 0x00);
+}
+
+// The fused in-register filter on bit-packed columns against CompareInt64:
+// every CompareOp (BETWEEN included, lo == hi among its ranges) x widths
+// 1..32 x overwrite / AND-into x tiers, with literals at and beyond both
+// ends of the column domain so the all-rows / no-rows rebasing shortcuts
+// run next to the kernel path.
+TEST(PredicateFusedBitPacked, MatchesCompareInt64EveryOpWidthModeTier) {
+  const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                            CompareOp::kLe, CompareOp::kGt, CompareOp::kGe,
+                            CompareOp::kBetween};
+  const size_t n = 777;    // partial groups and a scalar tail on every tier
+  const size_t start = 3;  // off a byte boundary for odd widths
+  for (int w = 1; w <= 32; ++w) {
+    const int64_t min = -1000;
+    const int64_t max = min + static_cast<int64_t>(LowBitsMask(w));
+    Rng rng(500 + w);
+    std::vector<int64_t> v(start + n);
+    for (auto& x : v) {
+      x = min + static_cast<int64_t>(rng.NextBounded(LowBitsMask(w) + 1));
+    }
+    v[0] = min;  // pin the domain, so the column is packed at exactly w bits
+    v[1] = max;
+    EncodedColumn col = MakeColumn(EncodingChoice::kBitPacked, v);
+    ASSERT_EQ(col.encoding(), Encoding::kBitPacked);
+    ASSERT_EQ(col.bit_width(), w);
+    const int64_t mid = min + (max - min) / 2;
+    const int64_t literals[] = {min - 1, min, min + 1, mid,
+                                max - 1, max, max + 1};
+    std::vector<uint8_t> prior(n);
+    for (auto& b : prior) b = rng.NextBernoulli(0.7) ? 0xFF : 0x00;
+    for (CompareOp op : kOps) {
+      for (int64_t lit : literals) {
+        for (int64_t lit2 : literals) {
+          if (op != CompareOp::kBetween && lit2 != literals[0]) continue;
+          const ColumnPredicate pred =
+              op == CompareOp::kBetween ? ColumnPredicate::Between("c", lit, lit2)
+                                        : ColumnPredicate("c", op, lit);
+          test::ForEachIsaTier([&](IsaTier tier) {
+            for (SelectionWrite write :
+                 {SelectionWrite::kOverwrite, SelectionWrite::kAndInto}) {
+              AlignedBuffer sel(n);
+              std::memcpy(sel.data(), prior.data(), n);
+              ASSERT_TRUE(
+                  pred.Evaluate(col, start, n, sel.data(), false, write).ok());
+              for (size_t i = 0; i < n; ++i) {
+                bool hit = CompareInt64(v[start + i], op, lit, lit2);
+                if (write == SelectionWrite::kAndInto) {
+                  hit = hit && prior[i] != 0;
+                }
+                ASSERT_EQ(sel.data()[i], hit ? 0xFF : 0x00)
+                    << "w=" << w << " op=" << static_cast<int>(op)
+                    << " lit=" << lit << " lit2=" << lit2
+                    << " and_into=" << (write == SelectionWrite::kAndInto)
+                    << " tier=" << IsaTierName(tier) << " i=" << i;
+              }
+            }
+          });
+        }
+      }
+    }
+  }
+}
+
+// AND-into on the encodings that keep the overwrite-then-AND path.
+TEST_P(PredicateEncodings, AndIntoMatchesRowByRow) {
+  Rng rng(91);
+  std::vector<int64_t> v(1500);
+  for (auto& x : v) x = rng.NextInRange(-50, 50);
+  EncodedColumn col = MakeColumn(GetParam(), v);
+  std::vector<uint8_t> prior(v.size());
+  for (auto& b : prior) b = rng.NextBernoulli(0.5) ? 0xFF : 0x00;
+  for (CompareOp op : kAllOps) {
+    ColumnPredicate pred("c", op, 7);
+    test::ForEachIsaTier([&](IsaTier) {
+      AlignedBuffer sel(v.size());
+      std::memcpy(sel.data(), prior.data(), v.size());
+      ASSERT_TRUE(pred.Evaluate(col, 0, v.size(), sel.data(), false,
+                                SelectionWrite::kAndInto)
+                      .ok());
+      for (size_t i = 0; i < v.size(); ++i) {
+        ASSERT_EQ(sel.data()[i] != 0,
+                  prior[i] != 0 && CompareInt64(v[i], op, 7))
+            << "op=" << static_cast<int>(op) << " i=" << i;
+      }
+    });
+  }
 }
 
 }  // namespace

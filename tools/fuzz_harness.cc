@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "baseline/hash_agg.h"
+#include "common/cpu.h"
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "core/scan.h"
@@ -402,7 +403,8 @@ std::string CaseParams::ToString() const {
      << " failpoint_prob=" << failpoint_prob
      << " sorted_fraction=" << sorted_fraction
      << " memory_limit=" << memory_limit
-     << " cost_model=" << cost_model;
+     << " cost_model=" << cost_model
+     << " isa_tier=" << IsaTierName(static_cast<IsaTier>(isa_tier));
   return os.str();
 }
 
@@ -465,6 +467,10 @@ CaseParams MakeCaseParams(uint64_t seed) {
   // oracle across the whole shape matrix. Drawn last: earlier fields keep
   // their per-seed values from before the knob existed.
   p.cost_model = static_cast<int>(rng.NextBounded(3));
+  // Every ISA tier evenly (the scan clamps to what the hardware offers), so
+  // each kernel tier diffs against the scalar-tier oracle. Drawn last for
+  // the same reason as cost_model.
+  p.isa_tier = static_cast<int>(rng.NextBounded(3));
   return p;
 }
 
@@ -514,6 +520,15 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
         p.memory_limit = std::stoull(val);
       } else if (key == "cost_model") {
         p.cost_model = std::stoi(val);
+      } else if (key == "isa_tier") {
+        p.isa_tier = -1;
+        for (int t = 0; t <= 2; ++t) {
+          if (val == IsaTierName(static_cast<IsaTier>(t))) p.isa_tier = t;
+        }
+        if (p.isa_tier < 0) {
+          *error = "bad value for isa_tier (scalar, avx2 or avx512): " + val;
+          return false;
+        }
       } else {
         *error = "unknown key: " + key;
         return false;
@@ -530,11 +545,20 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
 bool RunOneCase(const CaseParams& p, std::string* error) {
   const BuiltCase built = BuildCase(p);
 
+  // The oracle runs at the scalar tier and every plan at the case's tier,
+  // so a wrong SIMD kernel shows up as a diff instead of agreeing with
+  // itself. The caller's tier is restored on return.
+  struct TierRestore {
+    IsaTier saved = CurrentIsaTier();
+    ~TierRestore() { SetIsaTierForTesting(saved); }
+  } tier_restore;
+  SetIsaTierForTesting(IsaTier::kScalar);
   auto oracle = ExecuteQueryHashAgg(built.table, built.query);
   if (!oracle.ok()) {
     *error = "oracle failed: " + oracle.status().ToString();
     return false;
   }
+  SetIsaTierForTesting(static_cast<IsaTier>(p.isa_tier));
 
   // Fault-injection slice: armed after the oracle (which must stay exact),
   // disarmed when this function returns. Every plan below must then produce
@@ -705,6 +729,7 @@ CaseParams Shrink(const CaseParams& p) {
       add([](CaseParams& c) { c.memory_limit = 0; });
     }
     if (best.cost_model != 0) add([](CaseParams& c) { c.cost_model = 0; });
+    if (best.isa_tier != 0) add([](CaseParams& c) { c.isa_tier = 0; });
     if (best.num_threads != 1) add([](CaseParams& c) { c.num_threads = 1; });
     for (const CaseParams& c : candidates) {
       if (!RunOneCase(c, &scratch)) {  // still fails -> keep the reduction

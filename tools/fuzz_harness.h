@@ -73,9 +73,13 @@ struct CaseParams {
                        // (DESIGN.md §17) for strategy and byteslice
                        // admission — model-driven plans must stay
                        // byte-identical to the oracle like every other plan
+  int isa_tier = 2;  // Vector Toolbox tier every plan runs at: 0 = scalar,
+                     // 1 = avx2, 2 = avx512 (clamped to the hardware). The
+                     // oracle always runs at the scalar tier, before the
+                     // plans, so a kernel bug cannot appear on both sides
 
-  // Replay line, e.g. "seed=42 rows=375 segment_rows=128 ...". Parsed back
-  // by ParseCaseParams.
+  // Replay line, e.g. "seed=42 rows=375 segment_rows=128 ... isa_tier=avx2".
+  // Parsed back by ParseCaseParams.
   std::string ToString() const;
 };
 
@@ -88,7 +92,8 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
                      std::string* error);
 
 // Builds the case and runs the full differential matrix:
-//   * the hash-aggregation oracle,
+//   * the hash-aggregation oracle, at the scalar ISA tier,
+//   * everything below at p.isa_tier,
 //   * the adaptive plan inline plus (per p.num_threads) on the shared
 //     morsel pool or with legacy per-query threads,
 //   * every selection x aggregation override combination, plus each

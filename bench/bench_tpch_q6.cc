@@ -9,6 +9,7 @@
 #include "baseline/hash_agg.h"
 #include "baseline/scalar_engine.h"
 #include "bench/bench_util.h"
+#include "sql/parser.h"
 #include "tpch/q6.h"
 
 using namespace bipie;        // NOLINT
@@ -39,6 +40,16 @@ int main() {
   });
   BIPIE_DCHECK(q6.rows[0].sums == reference.value().rows[0].sums);
 
+  // The service path: the same query parsed from SQL text.
+  auto parsed = ParseQuery(Q6Sql(), lineitem);
+  BIPIE_DCHECK(parsed.ok());
+  const QuerySpec sql_query = parsed.value().spec;
+  const double sql_cycles = MeasureCyclesPerRow(rows, "bipie_sql", [&] {
+    auto r = ExecuteQuery(lineitem, sql_query);
+    BIPIE_DCHECK(r.ok());
+    BIPIE_DCHECK(r.value().rows[0].sums == reference.value().rows[0].sums);
+  });
+
   const double hash_cycles = MeasureCyclesPerRow(
       rows,
       [&] {
@@ -64,6 +75,7 @@ int main() {
               stats.selection.special_group);
   std::printf("%-28s %10s\n", "Engine", "clocks/row");
   std::printf("%-28s %10.1f\n", "bipie (this repo)", bipie_cycles);
+  std::printf("%-28s %10.1f\n", "bipie, spec parsed from SQL", sql_cycles);
   std::printf("%-28s %10.1f\n", "hash-agg baseline", hash_cycles);
   std::printf("%-28s %10.1f\n", "naive decode-all baseline", naive_cycles);
   std::printf("\nshape check: bipie vs hash baseline: %.1fx faster\n",

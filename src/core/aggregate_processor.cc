@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/bits.h"
+#include "common/memory_tracker.h"
 #include "cost/calibration.h"
 #include "cost/cost_model.h"
 #include "encoding/bitpack.h"
@@ -119,6 +120,7 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
       }
       if (col.encoding() == Encoding::kBitPacked) {
         input.column = &col;
+        input.column_index = idx;
         input.bit_width = col.bit_width();
         input.base = col.base();
         input.max_offset = col.id_bound() - 1;
@@ -522,12 +524,8 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
     if ((scalar_like || wide_minmax) && !input.is_expr) {
       // Scalar paths (and extrema over >32-bit offsets) aggregate logical
       // int64 values directly.
-      int idx = -1;
-      for (size_t c = 0; c < table.num_columns(); ++c) {
-        if (&segment.column(c) == input.column) idx = static_cast<int>(c);
-      }
       input.is_expr = true;
-      input.expr = Expr::Column(idx);
+      input.expr = Expr::Column(input.column_index);
       input.compensate = false;
       input.word_bytes = 8;
       continue;
@@ -581,6 +579,30 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
   decision_.special_group_available = special_group_available_;
   decision_.max_materialized_bits = max_materialized_bits_;
 
+  // --- expression plan ------------------------------------------------------
+  // Every input aggregating logical int64 values reads a plan root:
+  // expressions and decoded columns, and — under multi-aggregate — raw
+  // 8-byte sums, which then share the decoded slot an expression may read
+  // too. The overflow proof above already bounds their logical values by
+  // max_offset + |base|, so they need no compensation. Raw inputs kept in
+  // the offset domain get a dense value slot of their own.
+  plan_.Clear();
+  num_value_slots_ = 0;
+  for (AggInput& input : inputs_) {
+    input.node = -1;
+    input.value_slot = -1;
+    if (input.is_expr) {
+      input.node = plan_.Add(*input.expr);
+    } else if (agg_strategy_ == AggregationStrategy::kMultiAggregate &&
+               input.op == AggInput::Op::kSum && input.word_bytes == 8) {
+      input.node = plan_.Add(*Expr::Column(input.column_index));
+      input.compensate = false;
+    } else {
+      input.value_slot = num_value_slots_++;
+    }
+  }
+  plan_.Finalize(column_bounds);
+
   // --- accumulators & engines -----------------------------------------------
   counts_.assign(static_cast<size_t>(num_groups) + 1, 0);
   sums_.assign(inputs_.size() * (static_cast<size_t>(num_groups) + 1), 0);
@@ -603,12 +625,6 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
                 static_cast<size_t>(num_groups) + 1, sentinel);
   }
   run_cursors_.assign(inputs_.size(), RunCursor{});
-  value_bufs_.resize(inputs_.size());
-  expr_out_bufs_.resize(inputs_.size());
-  expr_out_ptrs_.assign(inputs_.size(), nullptr);
-  expr_col_bufs_.resize(table.num_columns());
-  batch_seq_ = 0;
-  col_cache_tag_.assign(table.num_columns(), 0);
 
   if (agg_strategy_ == AggregationStrategy::kMultiAggregate) {
     std::vector<MultiAggregator::ColumnDesc> descs;
@@ -616,7 +632,8 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
       descs.push_back({inputs_[i].word_bytes == 4 ? 4 : 8});
     }
     const int geff = num_groups + (special_group_available_ ? 1 : 0);
-    BIPIE_RETURN_NOT_OK(multi_agg_.Configure(descs, geff));
+    BIPIE_RETURN_NOT_OK(
+        multi_agg_.Configure(descs, geff, &scratch_->accumulators));
     multi_agg_ready_ = true;
   }
   return Status::OK();
@@ -657,49 +674,72 @@ AggregateProcessor::BatchMode AggregateProcessor::PickBatchMode(
   return BatchMode::kCompact;
 }
 
-void AggregateProcessor::DecodeExprColumn(int col_idx, size_t start,
-                                          size_t n) {
-  if (col_cache_tag_[col_idx] == batch_seq_) return;  // decoded this batch
-  AlignedBuffer& buf = expr_col_bufs_[col_idx];
-  buf.Resize(n * sizeof(int64_t));
-  segment_->column(col_idx).DecodeInt64(start, n, buf.data_as<int64_t>());
-  col_cache_tag_[col_idx] = batch_seq_;
+void AggregateScratch::RegisterWithThread() {
+  for (AlignedBuffer* buffer :
+       {&groups, &indices, &compact, &slots, &accumulators, &group_ids}) {
+    RegisterThreadScratchBuffer(buffer);
+  }
 }
 
-void AggregateProcessor::EvaluateExpr(size_t input_index, size_t start,
-                                      size_t n) {
-  const AggInput& input = inputs_[input_index];
-  if (const int64_t* cached = expr_cache_.Find(input.expr.get())) {
-    expr_out_ptrs_[input_index] = cached;  // identical tree this batch
-    return;
+void AggregateProcessor::PrepareSlots(size_t n) {
+  // Rounded to whole 64-byte lines; plan kernels run to a multiple of 4.
+  slot_stride_ = (n + 7) & ~size_t{7};
+  const size_t slots =
+      plan_.num_slots() + static_cast<size_t>(num_value_slots_);
+  scratch_->slots.Resize(slots * slot_stride_ * sizeof(int64_t));
+  plan_.SetStorage(scratch_->slots.data_as<int64_t>(), slot_stride_);
+}
+
+void AggregateProcessor::EvaluatePlan(size_t start, size_t n,
+                                      const uint8_t* sel,
+                                      const uint32_t* indices, size_t m,
+                                      BatchMode mode) {
+  if (plan_.num_slots() == 0) return;
+  const std::vector<int>& columns = plan_.columns();
+  for (size_t k = 0; k < columns.size(); ++k) {
+    const EncodedColumn& col = segment_->column(columns[k]);
+    int64_t* dst = plan_.column_values(k);
+    switch (mode) {
+      case BatchMode::kFull:
+      case BatchMode::kSpecialGroup:
+        col.DecodeInt64(start, n, dst);
+        continue;
+      case BatchMode::kGather:
+        if (col.encoding() == Encoding::kBitPacked) {
+          GatherSelect(RebasedPacked(col, start), col.bit_width(), indices, m,
+                       dst, 8);
+          const int64_t base = col.base();
+          if (base != 0) {
+            for (size_t r = 0; r < m; ++r) dst[r] += base;
+          }
+          continue;
+        }
+        break;
+      case BatchMode::kCompact:
+        break;
+    }
+    // Post-filter processing: decode the window once and compact it, so
+    // the plan touches only the m surviving rows (the §6.2 trade).
+    scratch_->compact.Resize(n * sizeof(int64_t));
+    col.DecodeInt64(start, n, scratch_->compact.data_as<int64_t>());
+    CompactValues(sel, scratch_->compact.data(), n, 8, dst);
   }
-  std::vector<int> cols;
-  input.expr->CollectColumns(&cols);
-  std::vector<const int64_t*> columns(table_->num_columns(), nullptr);
-  for (int c : cols) {
-    DecodeExprColumn(c, start, n);
-    columns[c] = expr_col_bufs_[c].data_as<int64_t>();
-  }
-  expr_out_bufs_[input_index].Resize(n * sizeof(int64_t));
-  int64_t* out = expr_out_bufs_[input_index].data_as<int64_t>();
-  input.expr->Evaluate(columns.data(), n, out, &expr_cache_);
-  expr_cache_.Put(input.expr.get(), out);
-  expr_out_ptrs_[input_index] = out;
+  plan_.Run(m);
 }
 
 size_t AggregateProcessor::BuildDenseBatch(size_t start, size_t n,
                                            const uint8_t* sel,
                                            BatchMode mode) {
   const int num_groups = mapper_.num_groups();
-  groups_buf_.Resize(n);
-  uint8_t* groups = groups_buf_.data();
+  scratch_->groups.Resize(n);
+  uint8_t* groups = scratch_->groups.data();
 
   size_t m = n;
   const uint32_t* indices = nullptr;
   if (mode == BatchMode::kGather) {
-    indices_buf_.Resize((n + 8) * sizeof(uint32_t));
-    m = CompactToIndexVector(sel, n, indices_buf_.data_as<uint32_t>());
-    indices = indices_buf_.data_as<uint32_t>();
+    scratch_->indices.Resize((n + 8) * sizeof(uint32_t));
+    m = CompactToIndexVector(sel, n, scratch_->indices.data_as<uint32_t>());
+    indices = scratch_->indices.data_as<uint32_t>();
     mapper_.MapSelected(start, indices, m, groups);
   } else {
     mapper_.MapBatch(start, n, groups);
@@ -707,115 +747,32 @@ size_t AggregateProcessor::BuildDenseBatch(size_t start, size_t n,
       ApplySpecialGroup(groups, sel, n,
                         static_cast<uint8_t>(num_groups), groups);
     } else if (mode == BatchMode::kCompact) {
-      compact_scratch_.Resize(n);
-      m = CompactValues(sel, groups, n, 1, compact_scratch_.data());
-      std::memcpy(groups, compact_scratch_.data(), m);
+      scratch_->compact.Resize(n);
+      m = CompactValues(sel, groups, n, 1, scratch_->compact.data());
+      std::memcpy(groups, scratch_->compact.data(), m);
     }
   }
 
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    const AggInput& input = inputs_[i];
-    AlignedBuffer& buf = value_bufs_[i];
-    if (input.is_expr) {
-      switch (mode) {
-        case BatchMode::kFull:
-        case BatchMode::kSpecialGroup:
-          EvaluateExpr(i, start, n);
-          // The aggregation loop reads expr_out_bufs_ directly via the
-          // pointer set below; copy-free.
-          break;
-        case BatchMode::kGather: {
-          // Decode referenced columns densely (selected rows only), then
-          // evaluate over the dense arrays.
-          if (const int64_t* cached = expr_cache_.Find(input.expr.get())) {
-            expr_out_ptrs_[i] = cached;
-            break;
-          }
-          std::vector<int> cols;
-          input.expr->CollectColumns(&cols);
-          std::vector<const int64_t*> columns(table_->num_columns(),
-                                              nullptr);
-          for (int c : cols) {
-            const EncodedColumn& col = segment_->column(c);
-            AlignedBuffer& cbuf = expr_col_bufs_[c];
-            if (col_cache_tag_[c] != batch_seq_) {
-              cbuf.Resize(m * sizeof(int64_t));
-              if (col.encoding() == Encoding::kBitPacked) {
-                GatherSelect(RebasedPacked(col, start), col.bit_width(),
-                             indices, m, cbuf.data(), 8);
-                int64_t* vals = cbuf.data_as<int64_t>();
-                if (col.base() != 0) {
-                  for (size_t r = 0; r < m; ++r) vals[r] += col.base();
-                }
-              } else {
-                compact_scratch_.Resize(n * sizeof(int64_t));
-                col.DecodeInt64(start, n,
-                                compact_scratch_.data_as<int64_t>());
-                CompactValues(sel, compact_scratch_.data(), n, 8,
-                              cbuf.data());
-              }
-              col_cache_tag_[c] = batch_seq_;
-            }
-            columns[c] = cbuf.data_as<int64_t>();
-          }
-          expr_out_bufs_[i].Resize(m * sizeof(int64_t));
-          int64_t* out = expr_out_bufs_[i].data_as<int64_t>();
-          input.expr->Evaluate(columns.data(), m, out, &expr_cache_);
-          expr_cache_.Put(input.expr.get(), out);
-          expr_out_ptrs_[i] = out;
-          break;
-        }
-        case BatchMode::kCompact: {
-          // Post-filter processing: referenced columns are decoded once,
-          // physically compacted, and the expression runs over the
-          // surviving rows only (this is the §6.2 compact-vs-special
-          // trade: compaction pays once so later work touches m rows).
-          if (const int64_t* cached = expr_cache_.Find(input.expr.get())) {
-            expr_out_ptrs_[i] = cached;
-            break;
-          }
-          std::vector<int> cols;
-          input.expr->CollectColumns(&cols);
-          std::vector<const int64_t*> columns(table_->num_columns(),
-                                              nullptr);
-          for (int c : cols) {
-            AlignedBuffer& cbuf = expr_col_bufs_[c];
-            if (col_cache_tag_[c] != batch_seq_) {
-              compact_scratch_.Resize(n * sizeof(int64_t));
-              segment_->column(c).DecodeInt64(
-                  start, n, compact_scratch_.data_as<int64_t>());
-              cbuf.Resize(m * sizeof(int64_t));
-              CompactValues(sel, compact_scratch_.data(), n, 8, cbuf.data());
-              col_cache_tag_[c] = batch_seq_;
-            }
-            columns[c] = cbuf.data_as<int64_t>();
-          }
-          expr_out_bufs_[i].Resize(m * sizeof(int64_t));
-          int64_t* out = expr_out_bufs_[i].data_as<int64_t>();
-          input.expr->Evaluate(columns.data(), m, out, &expr_cache_);
-          expr_cache_.Put(input.expr.get(), out);
-          expr_out_ptrs_[i] = out;
-          break;
-        }
-      }
-      continue;
-    }
-    // Raw bit-packed input.
+  PrepareSlots(n);
+  EvaluatePlan(start, n, sel, indices, m, mode);
+  for (const AggInput& input : inputs_) {
+    if (input.value_slot < 0) continue;
+    // Raw bit-packed input, in the offset domain.
     const int word = input.word_bytes;
-    buf.Resize(m * static_cast<size_t>(word));
+    uint8_t* values = ValueSlot(input);
     switch (mode) {
       case BatchMode::kFull:
       case BatchMode::kSpecialGroup:
-        input.column->UnpackIds(start, n, buf.data(), word);
+        input.column->UnpackIds(start, n, values, word);
         break;
       case BatchMode::kGather:
         GatherSelect(RebasedPacked(*input.column, start), input.bit_width,
-                     indices, m, buf.data(), word);
+                     indices, m, values, word);
         break;
       case BatchMode::kCompact:
-        compact_scratch_.Resize(n * static_cast<size_t>(word));
-        input.column->UnpackIds(start, n, compact_scratch_.data(), word);
-        CompactValues(sel, compact_scratch_.data(), n, word, buf.data());
+        scratch_->compact.Resize(n * static_cast<size_t>(word));
+        input.column->UnpackIds(start, n, scratch_->compact.data(), word);
+        CompactValues(sel, scratch_->compact.data(), n, word, values);
         break;
     }
   }
@@ -826,8 +783,6 @@ Status AggregateProcessor::ProcessBatch(size_t start, size_t n,
                                         const uint8_t* sel) {
   BIPIE_DCHECK(start % kBatchRows == 0);
   if (n == 0) return Status::OK();
-  ++batch_seq_;
-  expr_cache_.Clear();
   size_t selected = n;
   if (sel != nullptr) {
     selected = CountSelected(sel, n);
@@ -938,23 +893,24 @@ Status AggregateProcessor::ProcessInRegister(size_t start, size_t n,
   const size_t m = BuildDenseBatch(start, n, sel, mode);
   const int geff =
       num_groups + (mode == BatchMode::kSpecialGroup ? 1 : 0);
-  const uint8_t* groups = groups_buf_.data();
+  const uint8_t* groups = scratch_->groups.data();
   InRegisterCount(groups, m, geff, counts_.data());
   const size_t stride = static_cast<size_t>(num_groups) + 1;
   for (int i : sum_inputs_) {
     const AggInput& input = inputs_[i];
     auto* sums = reinterpret_cast<uint64_t*>(sums_.data() + i * stride);
+    const uint8_t* values = ValueSlot(input);
     switch (input.word_bytes) {
       case 1:
-        InRegisterSum8(groups, value_bufs_[i].data(), m, geff, sums);
+        InRegisterSum8(groups, values, m, geff, sums);
         break;
       case 2:
-        InRegisterSum16(groups, value_bufs_[i].data_as<uint16_t>(), m, geff,
-                        sums);
+        InRegisterSum16(groups, reinterpret_cast<const uint16_t*>(values), m,
+                        geff, sums);
         break;
       case 4:
-        InRegisterSum32(groups, value_bufs_[i].data_as<uint32_t>(), m, geff,
-                        input.max_offset, sums);
+        InRegisterSum32(groups, reinterpret_cast<const uint32_t*>(values), m,
+                        geff, input.max_offset, sums);
         break;
       default:
         return Status::Internal("bad in-register word");
@@ -971,20 +927,21 @@ Status AggregateProcessor::ProcessMultiAggregate(size_t start, size_t n,
   const size_t m = BuildDenseBatch(start, n, sel, mode);
   const int geff =
       num_groups + (mode == BatchMode::kSpecialGroup ? 1 : 0);
-  const uint8_t* groups = groups_buf_.data();
+  const uint8_t* groups = scratch_->groups.data();
   if (geff <= kMaxInRegisterGroups) {
     InRegisterCount(groups, m, geff, counts_.data());
   } else {
     ScalarCountMultiArray(groups, m, geff, counts_.data());
   }
-  std::vector<const void*> ptrs(sum_inputs_.size());
+  // A fitting row holds at most four qwords or eight paired halves.
+  const void* ptrs[8];
+  BIPIE_DCHECK(sum_inputs_.size() <= 8);
   for (size_t k = 0; k < sum_inputs_.size(); ++k) {
-    const int i = sum_inputs_[k];
-    const AggInput& input = inputs_[i];
-    ptrs[k] = input.is_expr ? static_cast<const void*>(expr_out_ptrs_[i])
-                            : static_cast<const void*>(value_bufs_[i].data());
+    const AggInput& input = inputs_[sum_inputs_[k]];
+    ptrs[k] = input.node >= 0 ? static_cast<const void*>(PlanValues(input))
+                              : static_cast<const void*>(ValueSlot(input));
   }
-  multi_agg_.Process(groups, ptrs.data(), m);
+  multi_agg_.Process(groups, ptrs, m);
   ProcessMinMaxDense(mode, m, geff);
   return Status::OK();
 }
@@ -993,8 +950,8 @@ Status AggregateProcessor::ProcessSortBased(size_t start, size_t n,
                                             const uint8_t* sel,
                                             BatchMode mode) {
   const int num_groups = mapper_.num_groups();
-  groups_buf_.Resize(n);
-  uint8_t* groups = groups_buf_.data();
+  scratch_->groups.Resize(n);
+  uint8_t* groups = scratch_->groups.data();
   int geff = num_groups;
   size_t m = n;
   const uint32_t* indices = nullptr;
@@ -1010,11 +967,14 @@ Status AggregateProcessor::ProcessSortBased(size_t start, size_t n,
     // Gather and compaction selection both reduce to sorting a selection
     // index vector (§5.2: rows are excluded before sorting).
     mapper_.MapBatch(start, n, groups);
-    indices_buf_.Resize((n + 8) * sizeof(uint32_t));
-    m = CompactToIndexVector(sel, n, indices_buf_.data_as<uint32_t>());
-    indices = indices_buf_.data_as<uint32_t>();
+    scratch_->indices.Resize((n + 8) * sizeof(uint32_t));
+    m = CompactToIndexVector(sel, n, scratch_->indices.data_as<uint32_t>());
+    indices = scratch_->indices.data_as<uint32_t>();
   }
   sorted_batch_.Sort(groups, indices, m, geff);
+  // Sorted index ranges address the whole window: evaluate it unselected.
+  PrepareSlots(n);
+  EvaluatePlan(start, n, nullptr, nullptr, n, BatchMode::kFull);
 
   for (int g = 0; g < geff; ++g) {
     counts_[g] += sorted_batch_.count(g);
@@ -1023,9 +983,8 @@ Status AggregateProcessor::ProcessSortBased(size_t start, size_t n,
   for (int i : sum_inputs_) {
     const AggInput& input = inputs_[i];
     int64_t* sums = sums_.data() + i * stride;
-    if (input.is_expr) {
-      EvaluateExpr(i, start, n);
-      SortedSumDecoded(expr_out_ptrs_[i], sorted_batch_, sums);
+    if (input.node >= 0) {
+      SortedSumDecoded(PlanValues(input), sorted_batch_, sums);
     } else {
       SortedGatherSum(RebasedPacked(*input.column, start), input.bit_width,
                       sorted_batch_, reinterpret_cast<uint64_t*>(sums));
@@ -1041,12 +1000,11 @@ Status AggregateProcessor::ProcessScalar(size_t start, size_t n,
   const size_t m = BuildDenseBatch(start, n, sel, mode);
   const int geff =
       num_groups + (mode == BatchMode::kSpecialGroup ? 1 : 0);
-  const uint8_t* groups = groups_buf_.data();
+  const uint8_t* groups = scratch_->groups.data();
   ScalarCountMultiArray(groups, m, geff, counts_.data());
   const size_t stride = static_cast<size_t>(num_groups) + 1;
-  (void)mode;
   for (int i : sum_inputs_) {
-    const int64_t* values = expr_out_ptrs_[i];
+    const int64_t* values = PlanValues(inputs_[i]);
     int64_t* sums = sums_.data() + i * stride;
     if (checked) {
       for (size_t r = 0; r < m; ++r) {
@@ -1067,13 +1025,13 @@ void AggregateProcessor::ProcessMinMaxDense(BatchMode mode, size_t m,
                                             int geff) {
   (void)mode;
   const size_t stride = static_cast<size_t>(mapper_.num_groups()) + 1;
-  const uint8_t* groups = groups_buf_.data();
+  const uint8_t* groups = scratch_->groups.data();
   for (size_t i = 0; i < inputs_.size(); ++i) {
     const AggInput& input = inputs_[i];
     if (input.op == AggInput::Op::kSum) continue;
     uint64_t* extrema = minmax_.data() + i * stride;
-    if (input.is_expr) {
-      const int64_t* values = expr_out_ptrs_[i];
+    if (input.node >= 0) {
+      const int64_t* values = PlanValues(input);
       if (input.op == AggInput::Op::kMin) {
         GroupedMinI64(groups, values, m, geff,
                       reinterpret_cast<int64_t*>(extrema));
@@ -1083,11 +1041,11 @@ void AggregateProcessor::ProcessMinMaxDense(BatchMode mode, size_t m,
       }
     } else {
       if (input.op == AggInput::Op::kMin) {
-        GroupedMinU(groups, value_bufs_[i].data(), input.word_bytes, m,
-                    geff, extrema);
+        GroupedMinU(groups, ValueSlot(input), input.word_bytes, m, geff,
+                    extrema);
       } else {
-        GroupedMaxU(groups, value_bufs_[i].data(), input.word_bytes, m,
-                    geff, extrema);
+        GroupedMaxU(groups, ValueSlot(input), input.word_bytes, m, geff,
+                    extrema);
       }
     }
   }
@@ -1101,9 +1059,8 @@ Status AggregateProcessor::ProcessMinMaxSorted(size_t start, size_t n,
     const AggInput& input = inputs_[i];
     if (input.op == AggInput::Op::kSum) continue;
     uint64_t* extrema = minmax_.data() + i * stride;
-    if (input.is_expr) {
-      EvaluateExpr(i, start, n);  // memoized per batch
-      const int64_t* values = expr_out_ptrs_[i];
+    if (input.node >= 0) {
+      const int64_t* values = PlanValues(input);
       auto* typed = reinterpret_cast<int64_t*>(extrema);
       for (int g = 0; g < geff; ++g) {
         int64_t e = typed[g];
@@ -1118,17 +1075,15 @@ Status AggregateProcessor::ProcessMinMaxSorted(size_t start, size_t n,
     } else {
       // Decode the full window once at the input's word width, then walk
       // the sorted index ranges.
-      AlignedBuffer& buf = value_bufs_[i];
-      buf.Resize(n * static_cast<size_t>(input.word_bytes));
-      input.column->UnpackIds(start, n, buf.data(), input.word_bytes);
+      uint8_t* values = ValueSlot(input);
+      input.column->UnpackIds(start, n, values, input.word_bytes);
       for (int g = 0; g < geff; ++g) {
         uint64_t e = extrema[g];
         for (uint32_t k = sorted_batch_.offset(g);
              k < sorted_batch_.offset(g + 1); ++k) {
           uint64_t v = 0;
           std::memcpy(&v,
-                      buf.data() + static_cast<size_t>(idx[k]) *
-                                       input.word_bytes,
+                      values + static_cast<size_t>(idx[k]) * input.word_bytes,
                       input.word_bytes);
           if (input.op == AggInput::Op::kMin ? v < e : v > e) e = v;
         }

@@ -25,15 +25,39 @@
 #include "core/group_mapper.h"
 #include "core/query.h"
 #include "core/strategy.h"
+#include "expr/expr_plan.h"
 #include "storage/table.h"
 #include "vector/agg_multi.h"
 #include "vector/agg_sort.h"
 
 namespace bipie {
 
+// Batch scratch an AggregateProcessor works in. Every size follows the
+// batch, not the segment, so one instance serves all the morsels a worker
+// runs: the scan keeps one per thread and registers its buffers with the
+// tracker re-home list, like its selection scratch.
+struct AggregateScratch {
+  AlignedBuffer groups;        // dense group ids
+  AlignedBuffer indices;       // selection index vector (gather, sort)
+  AlignedBuffer compact;       // full-window decode ahead of compaction
+  AlignedBuffer slots;         // expression-plan slots, then raw values
+  AlignedBuffer accumulators;  // multi-aggregate sums
+  AlignedBuffer group_ids;     // the group mapper's second-column ids
+
+  // Registers every buffer with this thread's re-home list. The scratch
+  // must then live until thread exit.
+  void RegisterWithThread();
+};
+
 class AggregateProcessor {
  public:
-  AggregateProcessor() = default;
+  // `scratch` (optional) is borrowed for every batch; by default the
+  // processor owns one.
+  explicit AggregateProcessor(AggregateScratch* scratch = nullptr)
+      : mapper_(scratch != nullptr ? &scratch->group_ids : nullptr),
+        scratch_(scratch != nullptr ? scratch : &own_scratch_) {}
+  AggregateProcessor(const AggregateProcessor&) = delete;
+  AggregateProcessor& operator=(const AggregateProcessor&) = delete;
 
   // Binds to one segment. Resolves the aggregation strategy (respecting
   // overrides) and builds per-aggregate input descriptors.
@@ -79,6 +103,10 @@ class AggregateProcessor {
   // drove a forced-plan rejection.
   const PlanDecision& plan_decision() const { return decision_; }
 
+  // The Bind-time plan every logical int64 aggregate input is evaluated
+  // through (expression sums, decoded columns, raw 8-byte sums).
+  const ExprPlan& expr_plan() const { return plan_; }
+
   // Batches processed per selection strategy (gather/compact/special/full),
   // for tests and the strategy explorer example.
   struct SelectionStats {
@@ -99,6 +127,7 @@ class AggregateProcessor {
     bool is_expr = false;
     ExprPtr expr;                         // kSumExpr
     const EncodedColumn* column = nullptr;  // raw
+    int column_index = -1;                  // raw
     int bit_width = 0;
     int64_t base = 0;
     uint64_t max_offset = 0;
@@ -108,6 +137,10 @@ class AggregateProcessor {
     // expression decode path, so kRunBased can aggregate them from run
     // metadata alone.
     const EncodedColumn* run_column = nullptr;
+    // Plan root holding this input's logical int64 values, or -1 when the
+    // input is raw offsets (its own value slot).
+    int node = -1;
+    int value_slot = -1;
   };
 
   BatchMode PickBatchMode(size_t n, size_t selected, const uint8_t* sel);
@@ -117,6 +150,22 @@ class AggregateProcessor {
   // count.
   size_t BuildDenseBatch(size_t start, size_t n, const uint8_t* sel,
                          BatchMode mode);
+  // Sizes the slot storage for a window of n rows.
+  void PrepareSlots(size_t n);
+  // Decodes every plan column once — the window's m dense rows for the
+  // mode (all n rows, gathered by `indices`, or compacted by `sel`) — and
+  // runs the plan.
+  void EvaluatePlan(size_t start, size_t n, const uint8_t* sel,
+                    const uint32_t* indices, size_t m, BatchMode mode);
+  const int64_t* PlanValues(const AggInput& input) const {
+    return plan_.values(input.node);
+  }
+  uint8_t* ValueSlot(const AggInput& input) const {
+    // Value slots follow the plan's slots.
+    return scratch_->slots.data() +
+           (plan_.num_slots() + static_cast<size_t>(input.value_slot)) *
+               slot_stride_ * sizeof(int64_t);
+  }
 
   Status ProcessInRegister(size_t start, size_t n, const uint8_t* sel,
                            BatchMode mode);
@@ -126,13 +175,6 @@ class AggregateProcessor {
                           BatchMode mode);
   Status ProcessScalar(size_t start, size_t n, const uint8_t* sel,
                        BatchMode mode, bool checked);
-
-  // Decodes logical int64 values of table column `col_idx` for the window
-  // into expr_col_bufs_[col_idx] (full window, no selection).
-  void DecodeExprColumn(int col_idx, size_t start, size_t n);
-  // Evaluates input `i` (an expression) over the full window into
-  // expr_out_bufs_[i].
-  void EvaluateExpr(size_t input_index, size_t start, size_t n);
 
   const Table* table_ = nullptr;
   const Segment* segment_ = nullptr;
@@ -150,6 +192,9 @@ class AggregateProcessor {
   double model_gather_crossover_ = -1.0;
 
   std::vector<AggInput> inputs_;      // one per SUM-like spec
+  ExprPlan plan_;
+  int num_value_slots_ = 0;  // raw inputs' dense value arrays
+  size_t slot_stride_ = 0;   // int64 elements per slot this batch
   std::vector<int> spec_to_input_;    // query spec index -> inputs_ index, -1 for count
 
   // MIN/MAX extrema for every dense-mode row batch; value pointers follow
@@ -168,14 +213,8 @@ class AggregateProcessor {
   bool multi_agg_ready_ = false;
   SortedBatch sorted_batch_;
 
-  // Scratch (reused across batches).
-  AlignedBuffer groups_buf_;
-  AlignedBuffer indices_buf_;
-  std::vector<AlignedBuffer> value_bufs_;     // per input dense values
-  std::vector<AlignedBuffer> expr_col_bufs_;  // per table column, logical i64
-  std::vector<AlignedBuffer> expr_out_bufs_;  // per input, expr results
-  std::vector<const int64_t*> expr_out_ptrs_; // per input, possibly aliased
-  AlignedBuffer compact_scratch_;
+  AggregateScratch own_scratch_;
+  AggregateScratch* const scratch_;
 
   // Run-level state (kRunBased): per-input cursor into RLE aggregate run
   // streams (spans arrive in ascending start order, so the walk is
@@ -185,12 +224,6 @@ class AggregateProcessor {
     size_t run_start = 0;
   };
   std::vector<RunCursor> run_cursors_;
-
-  // Per-batch memoization: columns are decoded and shared subexpressions
-  // evaluated at most once per batch (Q1's charge reuses disc_price).
-  uint64_t batch_seq_ = 0;
-  std::vector<uint64_t> col_cache_tag_;  // per table column
-  ExprCache expr_cache_;
 
   SelectionStats selection_stats_;
 };

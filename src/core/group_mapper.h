@@ -32,7 +32,12 @@ struct GroupRunSpan {
 
 class GroupMapper {
  public:
-  GroupMapper() = default;
+  // `scratch` (optional) holds the second column's ids while two columns
+  // combine; by default the mapper owns that buffer.
+  explicit GroupMapper(AlignedBuffer* scratch = nullptr)
+      : scratch_(scratch != nullptr ? scratch : &own_scratch_) {}
+  GroupMapper(const GroupMapper&) = delete;
+  GroupMapper& operator=(const GroupMapper&) = delete;
 
   // Binds to one segment's group-by columns (0, 1 or 2 indices). Group
   // columns may be dictionary, bit-packed, or RLE encoded (RLE run values
@@ -99,7 +104,8 @@ class GroupMapper {
 
   std::vector<BoundColumn> columns_;
   int num_groups_ = 1;
-  mutable AlignedBuffer scratch_;  // second column ids during combine
+  AlignedBuffer own_scratch_;
+  AlignedBuffer* const scratch_;  // second column ids during combine
   // Charge for the id_runs/rle_values vectors, which AlignedBuffer
   // accounting cannot see. Updated at Bind; Bind fails with
   // kResourceExhausted when the growth breaches the query's limit.

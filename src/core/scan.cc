@@ -45,13 +45,15 @@ using internal_scan::SegmentContribution;
 
 namespace {
 
-// Per-worker selection scratch, reused across every morsel a thread
+// Per-worker batch scratch — the selection vector and everything the
+// aggregate processor works in — reused across every morsel a thread
 // executes. Morsels never share a scratch (pool workers, legacy threads and
 // the inline path each run morsels to completion on one thread), so the
 // buffers only grow to the largest batch ever seen and the per-morsel
 // allocations disappear from the steady state.
 struct MorselScratch {
   AlignedBuffer sel_buf;
+  AggregateScratch aggregate;
 };
 
 MorselScratch& ThreadMorselScratch() {
@@ -60,6 +62,7 @@ MorselScratch& ThreadMorselScratch() {
   // re-homed to the process root when a query's tracker scope exits.
   thread_local const bool registered = [] {
     RegisterThreadScratchBuffer(&scratch.sel_buf);
+    scratch.aggregate.RegisterWithThread();
     return true;
   }();
   (void)registered;
@@ -152,7 +155,8 @@ Status BIPieScan::ScanMorselImpl(const Morsel& morsel,
   BIPIE_TRACE_SPAN_ARG("scan.morsel", "scan", "segment",
                        morsel.segment_index);
 
-  AggregateProcessor processor;
+  MorselScratch& scratch = ThreadMorselScratch();
+  AggregateProcessor processor(&scratch.aggregate);
   BIPIE_RETURN_NOT_OK(
       processor.Bind(table_, segment, query_, options_.overrides));
   if (morsel.counts_segment) {
@@ -160,7 +164,6 @@ Status BIPieScan::ScanMorselImpl(const Morsel& morsel,
         processor.aggregation_strategy())]++;
   }
 
-  MorselScratch& scratch = ThreadMorselScratch();
   AlignedBuffer& sel_buf = scratch.sel_buf;
   // The selection scratch is sized up front for the largest batch this
   // morsel will see, so a failed allocation degrades to a structured

@@ -1,11 +1,17 @@
-// Scalar-expression evaluation over decoded batches.
+// Arithmetic expression trees over table columns.
 //
 // This layer stands in for MemSQL's LLVM-generated code: per §3 "generated
-// functions always operate on decompressed column data", and per §6.3 "the
-// code generated at runtime does not use SIMD". bipie keeps both contracts:
-// expressions are evaluated by statically compiled scalar loops over decoded
-// int64 arrays, one batch at a time, producing decoded int64 outputs that
-// feed the aggregation strategies.
+// functions always operate on decompressed column data". Expressions are
+// evaluated over decoded int64 arrays, one batch at a time, producing
+// decoded int64 outputs that feed the aggregation strategies.
+//
+// Two evaluators exist. The scan lowers a segment's aggregate inputs at
+// Bind time into an ExprPlan (expr/expr_plan.h): structurally shared
+// subtrees, each column decoded once, fused and narrowed multiplies.
+// Expr::Evaluate below is the plain reference interpreter — one tree walk
+// per call, no sharing, no narrowing — used by the oracles
+// (ExecuteQueryHashAgg, ExecuteQueryNaive) and HybridTable, so they share
+// no kernel with the plan they check.
 //
 // Expressions also carry interval arithmetic (EvalBounds) so the scan can
 // prove, from segment metadata, that sums cannot overflow int64 — the §2.1
@@ -32,28 +38,6 @@ struct ValueBounds {
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
-// Batch-scoped memoization of evaluated subtrees, keyed by node identity.
-// Queries often share subtrees across aggregates (e.g. TPC-H Q1's charge
-// contains disc_price); registering each evaluated aggregate expression
-// lets later evaluations consume the cached array instead of recomputing.
-// Entries must stay valid for the lifetime of the batch.
-class ExprCache {
- public:
-  void Clear() { entries_.clear(); }
-  void Put(const Expr* node, const int64_t* values) {
-    entries_.emplace_back(node, values);
-  }
-  const int64_t* Find(const Expr* node) const {
-    for (const auto& [k, v] : entries_) {
-      if (k == node) return v;
-    }
-    return nullptr;
-  }
-
- private:
-  std::vector<std::pair<const Expr*, const int64_t*>> entries_;
-};
-
 // An immutable arithmetic expression tree over table columns.
 class Expr {
  public:
@@ -72,12 +56,9 @@ class Expr {
   // All column indices referenced by this tree (deduplicated).
   void CollectColumns(std::vector<int>* out) const;
 
-  // Evaluates over a batch. columns[idx] must be a decoded int64 array for
-  // every referenced column index. Scalar loops by design (see above).
-  // `cache` (optional) supplies already-evaluated subtree results by node
-  // identity; operands found there are consumed directly.
-  void Evaluate(const int64_t* const* columns, size_t n, int64_t* out,
-                const ExprCache* cache = nullptr) const;
+  // Reference interpreter: evaluates over a batch. columns[idx] must be a
+  // decoded int64 array for every referenced column index.
+  void Evaluate(const int64_t* const* columns, size_t n, int64_t* out) const;
 
   // Interval arithmetic: given per-column bounds, computes the result
   // bounds. Fails with OverflowRisk if any intermediate can exceed int64.

@@ -33,6 +33,16 @@ QuerySpec MakeQ1Query(const Table& lineitem) {
   return query;
 }
 
+std::string Q1Sql() {
+  return "SELECT l_returnflag, l_linestatus, sum(l_quantity), "
+         "sum(l_extendedprice), sum(l_extendedprice * (100 - l_discount)), "
+         "sum(l_extendedprice * (100 - l_discount) * (100 + l_tax)), "
+         "avg(l_quantity), avg(l_extendedprice), avg(l_discount), count(*) "
+         "FROM lineitem WHERE l_shipdate <= " +
+         std::to_string(kQ1CutoffDate) +
+         " GROUP BY l_returnflag, l_linestatus";
+}
+
 Result<QueryResult> RunQ1(const Table& lineitem, ScanOptions options) {
   return ExecuteQuery(lineitem, MakeQ1Query(lineitem), std::move(options));
 }

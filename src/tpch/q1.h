@@ -40,6 +40,11 @@ enum Q1Aggregate : int {
 // MakeLineitemTable.
 QuerySpec MakeQ1Query(const Table& lineitem);
 
+// Q1 as SQL text, the statement the service parses. ParseQuery(Q1Sql(),
+// lineitem) aggregates what MakeQ1Query builds, in the same slot order, but
+// with a fresh expression node per occurrence.
+std::string Q1Sql();
+
 // Runs Q1 through the BIPie scan (optionally with forced strategies).
 Result<QueryResult> RunQ1(const Table& lineitem, ScanOptions options = {});
 

@@ -24,6 +24,13 @@ QuerySpec MakeQ6Query(const Table& lineitem) {
   return query;
 }
 
+std::string Q6Sql() {
+  return "SELECT sum(l_extendedprice * l_discount), count(*) FROM lineitem "
+         "WHERE l_shipdate BETWEEN " +
+         std::to_string(kQ6DateLo) + " AND " + std::to_string(kQ6DateHi - 1) +
+         " AND l_discount BETWEEN 5 AND 7 AND l_quantity < 2400";
+}
+
 Result<QueryResult> RunQ6(const Table& lineitem, ScanOptions options) {
   return ExecuteQuery(lineitem, MakeQ6Query(lineitem), std::move(options));
 }

@@ -18,6 +18,8 @@
 #ifndef BIPIE_TPCH_Q6_H_
 #define BIPIE_TPCH_Q6_H_
 
+#include <string>
+
 #include "core/scan.h"
 #include "tpch/lineitem.h"
 
@@ -28,6 +30,10 @@ inline constexpr int64_t kQ6DateLo = 731;
 inline constexpr int64_t kQ6DateHi = 1096;
 
 QuerySpec MakeQ6Query(const Table& lineitem);
+
+// Q6 as SQL text, the statement the service parses; it aggregates what
+// MakeQ6Query builds, in the same slot order.
+std::string Q6Sql();
 
 Result<QueryResult> RunQ6(const Table& lineitem, ScanOptions options = {});
 

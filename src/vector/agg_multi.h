@@ -13,6 +13,14 @@
 // Column-major inputs become row-major via a 4x4 64-bit SIMD transpose
 // (pairs of 32-bit columns are first interleaved into pseudo-64-bit
 // columns with PUNPCKL/HDQ, the paper's Figure 6 layout).
+//
+// With few groups, consecutive rows often hit the same group, and each
+// load-add-store then waits for the previous one's store to forward. So up
+// to kCopyGroups groups get kCopies accumulator copies each: row i adds
+// into copy i mod kCopies, and the copies are summed at drain — §5.1's
+// multi-array count trick applied to the multi-aggregate row. Each copy
+// drains its 32-bit halves on its own, so the no-carry guarantee holds
+// per copy exactly as for a single accumulator.
 #ifndef BIPIE_VECTOR_AGG_MULTI_H_
 #define BIPIE_VECTOR_AGG_MULTI_H_
 
@@ -37,13 +45,18 @@ class MultiAggregator {
   };
 
   static constexpr int kMaxGroups = 256;
+  // Accumulator copies per group when num_groups <= kCopyGroups.
+  static constexpr int kCopies = 8;
+  static constexpr int kCopyGroups = 16;
 
   MultiAggregator() = default;
 
   // Plans the register layout. Fails with OverflowRisk-free NotSupported if
   // the expanded row does not fit a 256-bit register (more than four 64-bit
-  // lanes).
-  Status Configure(const std::vector<ColumnDesc>& columns, int num_groups);
+  // lanes). The accumulators live in `storage` when given (a caller reusing
+  // one buffer across configurations), else in a buffer the aggregator owns.
+  Status Configure(const std::vector<ColumnDesc>& columns, int num_groups,
+                   AlignedBuffer* storage = nullptr);
 
   // Accumulates n rows. groups[i] < num_groups. col_data[c] must point to
   // the decoded array for column c with the configured element width, with
@@ -56,6 +69,8 @@ class MultiAggregator {
 
   int num_columns() const { return static_cast<int>(columns_.size()); }
   int num_groups() const { return num_groups_; }
+  // Accumulator copies per group (1, or kCopies for few groups).
+  int copies() const { return copies_; }
   // Bytes of one packed row after expansion (diagnostics / tests).
   int packed_row_bytes() const { return 8 * (num_qword_slots_ + num_pairs_); }
 
@@ -69,13 +84,17 @@ class MultiAggregator {
 
   std::vector<ColumnDesc> columns_;
   int num_groups_ = 0;
+  int copies_ = 1;
   std::vector<int> qword_cols_;  // columns owning full 64-bit lanes
   std::vector<Pair> pairs_;      // paired 32-bit lanes
   int num_qword_slots_ = 0;
   int num_pairs_ = 0;
 
-  AlignedBuffer acc_;               // one __m256i per group
-  std::vector<int64_t> partials_;   // [group][column] drained sums
+  // Storage: [group][copy] __m256i accumulators, then the [group][column]
+  // int64 drained sums.
+  AlignedBuffer own_storage_;
+  __m256i* acc_ = nullptr;
+  int64_t* partials_ = nullptr;
   size_t rows_since_drain_ = 0;
 };
 

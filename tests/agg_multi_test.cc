@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "test_util.h"
@@ -127,6 +128,52 @@ TEST(MultiAggregatorTest, DrainCadenceSurvivesLongStreams) {
   std::vector<int64_t> sums(3 * 2, 0);
   agg.Flush(sums.data());
   EXPECT_EQ(sums, f.ReferenceSums());
+}
+
+TEST(MultiAggregatorTest, CopiesOnlyForFewGroups) {
+  MultiAggregator agg;
+  ASSERT_TRUE(agg.Configure({{8}, {4}}, MultiAggregator::kCopyGroups).ok());
+  EXPECT_EQ(agg.copies(), MultiAggregator::kCopies);
+  ASSERT_TRUE(
+      agg.Configure({{8}, {4}}, MultiAggregator::kCopyGroups + 1).ok());
+  EXPECT_EQ(agg.copies(), 1);
+}
+
+TEST(MultiAggregatorTest, CopiesKeepHalvesApartOverLongSkewedStreams) {
+  // Few groups turn the accumulator copies on. Group 0 gets ~99% of
+  // 9 x 65536 rows of paired maximal narrow values: more than 65536 rows
+  // per copy, so only the drain cadence keeps each 32-bit half from
+  // carrying into its neighbor, and the total per group passes 2^32.
+  const size_t n = 9 * 65536 + 1001;
+  MultiAggFixture f(n, 4, {8, 4, 4}, 41);
+  for (size_t i = 0; i < n; ++i) {
+    f.groups[i] = i % 97 == 0 ? static_cast<uint8_t>(1 + i % 3) : 0;
+    f.arrays[1].data_as<uint32_t>()[i] = 0xFFFF;
+    f.arrays[2].data_as<uint32_t>()[i] = 0xFFFF;
+  }
+  const std::vector<int64_t> expected = f.ReferenceSums();
+  ASSERT_GT(expected[1], int64_t{1} << 32);
+  test::ForEachIsaTier([&](IsaTier tier) {
+    MultiAggregator agg;
+    ASSERT_TRUE(agg.Configure(f.descs, 4).ok());
+    EXPECT_EQ(agg.copies(), MultiAggregator::kCopies);
+    // Uneven calls: copy assignment restarts per call and drains straddle
+    // call boundaries.
+    size_t done = 0;
+    for (const size_t len : {size_t{70001}, size_t{3}, size_t{200002}, n}) {
+      const size_t m = std::min(len, n - done);
+      std::vector<const void*> ptrs;
+      for (size_t c = 0; c < f.arrays.size(); ++c) {
+        ptrs.push_back(f.arrays[c].data() + done * f.descs[c].input_bytes);
+      }
+      agg.Process(f.groups.data() + done, ptrs.data(), m);
+      done += m;
+    }
+    ASSERT_EQ(done, n);
+    std::vector<int64_t> sums(4 * 3, 0);
+    agg.Flush(sums.data());
+    EXPECT_EQ(sums, expected) << "tier=" << IsaTierName(tier);
+  });
 }
 
 TEST(MultiAggregatorTest, MultipleProcessCallsAccumulate) {

@@ -5,8 +5,12 @@
 #include <cstring>
 #include <vector>
 
+#include "baseline/hash_agg.h"
 #include "common/random.h"
+#include "core/scan.h"
+#include "sql/parser.h"
 #include "storage/table.h"
+#include "tpch/q1.h"
 
 namespace bipie {
 namespace {
@@ -228,7 +232,7 @@ TEST(AggregateProcessorTest, CompactModeEvaluatesExpressionsPostFilter) {
   }
 }
 
-TEST(AggregateProcessorTest, SharedSubtreeEvaluatedOnceViaCache) {
+TEST(AggregateProcessorTest, SharedSubtreeEvaluatedOnce) {
   // disc_price-style sharing: the second expression embeds the first.
   ProcessorFixture f;
   ExprPtr base_expr =
@@ -241,12 +245,157 @@ TEST(AggregateProcessorTest, SharedSubtreeEvaluatedOnceViaCache) {
                       AggregateSpec::SumExpr(nested)};
   AggregateProcessor processor;
   ASSERT_TRUE(processor.Bind(f.table, f.segment(), query, {}).ok());
+  // x, y, 100, (100 - y), the product, 3 and the outer product: the
+  // embedded subtree is one node.
+  EXPECT_EQ(processor.expr_plan().num_nodes(), 7u);
   ASSERT_TRUE(processor.ProcessBatch(0, 4096, nullptr).ok());
   ASSERT_TRUE(processor.ProcessBatch(4096, 4096, nullptr).ok());
   AggregateProcessor::SegmentResult result;
   ASSERT_TRUE(processor.Finish(&result).ok());
   for (int g = 0; g < result.num_groups; ++g) {
     EXPECT_EQ(result.values[g * 2 + 1], result.values[g * 2 + 0] * 3);
+  }
+}
+
+void ExpectSameRows(const QueryResult& a, const QueryResult& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.rows.size(), b.rows.size()) << what;
+  for (size_t r = 0; r < a.rows.size(); ++r) {
+    EXPECT_EQ(a.rows[r].group, b.rows[r].group) << what << " row " << r;
+    EXPECT_EQ(a.rows[r].count, b.rows[r].count) << what << " row " << r;
+    EXPECT_EQ(a.rows[r].sums, b.rows[r].sums) << what << " row " << r;
+  }
+}
+
+TEST(AggregateProcessorTest, ParsedAndBuiltQ1BindTheSamePlan) {
+  // The parser builds a fresh node per occurrence; the hand-built spec
+  // shares disc_price by pointer. Structural sharing makes the plans equal.
+  LineitemOptions options;
+  options.num_rows = 20000;
+  const Table lineitem = MakeLineitemTable(options);
+  auto parsed = ParseQuery(Q1Sql(), lineitem);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const QuerySpec sql = parsed.value().spec;
+  const QuerySpec built = MakeQ1Query(lineitem);
+  for (size_t s = 0; s < lineitem.num_segments(); ++s) {
+    AggregateProcessor from_sql, from_built;
+    ASSERT_TRUE(from_sql.Bind(lineitem, lineitem.segment(s), sql, {}).ok());
+    ASSERT_TRUE(
+        from_built.Bind(lineitem, lineitem.segment(s), built, {}).ok());
+    const ExprPlan& a = from_sql.expr_plan();
+    const ExprPlan& b = from_built.expr_plan();
+    EXPECT_EQ(a.num_nodes(), b.num_nodes());
+    EXPECT_EQ(a.columns(), b.columns());
+    // price, discount, tax: each decoded once, the raw price sum included.
+    EXPECT_EQ(a.columns().size(), 3u);
+    EXPECT_EQ(a.num_slots(), b.num_slots());
+    EXPECT_EQ(a.num_narrow_multiplies(), b.num_narrow_multiplies());
+  }
+  auto from_sql = ExecuteQuery(lineitem, sql);
+  auto from_built = ExecuteQuery(lineitem, built);
+  auto oracle = ExecuteQueryHashAgg(lineitem, built);
+  ASSERT_TRUE(from_sql.ok() && from_built.ok() && oracle.ok());
+  ExpectSameRows(from_sql.value(), from_built.value(), "sql vs built");
+  ExpectSameRows(from_built.value(), oracle.value(), "built vs oracle");
+}
+
+// A structural copy sharing no pointer with `e`.
+ExprPtr DeepCopy(const ExprPtr& e) {
+  switch (e->kind()) {
+    case ExprKind::kColumn:
+      return Expr::Column(e->column_index());
+    case ExprKind::kConstant:
+      return Expr::Constant(e->constant());
+    case ExprKind::kAdd:
+      return Expr::Add(DeepCopy(e->lhs()), DeepCopy(e->rhs()));
+    case ExprKind::kSub:
+      return Expr::Sub(DeepCopy(e->lhs()), DeepCopy(e->rhs()));
+    case ExprKind::kMul:
+      return Expr::Mul(DeepCopy(e->lhs()), DeepCopy(e->rhs()));
+  }
+  return nullptr;
+}
+
+TEST(AggregateProcessorTest, PointerSharedAndCopiedSubtreesPlanAlike) {
+  // Property: an aggregate set whose equal subtrees are shared by pointer
+  // and the same set with every occurrence deep-copied bind identical
+  // plans and compute identical results, under every aggregation strategy.
+  ProcessorFixture f(12288, 6, 31);
+  Rng rng(8);
+  auto leaf = [&]() -> ExprPtr {
+    return rng.NextBernoulli(0.6)
+               ? Expr::Column(1 + static_cast<int>(rng.NextBounded(2)))
+               : Expr::Constant(rng.NextInRange(-20, 120));
+  };
+  auto combine = [&](ExprPtr l, ExprPtr r) -> ExprPtr {
+    switch (rng.NextBounded(3)) {
+      case 0:
+        return Expr::Add(std::move(l), std::move(r));
+      case 1:
+        return Expr::Sub(std::move(l), std::move(r));
+      default:
+        return Expr::Mul(std::move(l), std::move(r));
+    }
+  };
+  for (int trial = 0; trial < 40; ++trial) {
+    // A pool of subtrees, then aggregates combining them.
+    std::vector<ExprPtr> pool;
+    for (int k = 0; k < 3; ++k) pool.push_back(combine(leaf(), leaf()));
+    QuerySpec shared, copied;
+    shared.group_by = copied.group_by = {"g"};
+    const int num_aggs = 1 + static_cast<int>(rng.NextBounded(4));
+    for (int a = 0; a < num_aggs; ++a) {
+      const ExprPtr& l = pool[rng.NextBounded(pool.size())];
+      const ExprPtr& r = pool[rng.NextBounded(pool.size())];
+      const uint64_t op = rng.NextBounded(3);
+      auto build = [&](ExprPtr x, ExprPtr y) {
+        return op == 0   ? Expr::Add(std::move(x), std::move(y))
+               : op == 1 ? Expr::Sub(std::move(x), std::move(y))
+                         : Expr::Mul(std::move(x), std::move(y));
+      };
+      shared.aggregates.push_back(AggregateSpec::SumExpr(build(l, r)));
+      copied.aggregates.push_back(
+          AggregateSpec::SumExpr(build(DeepCopy(l), DeepCopy(r))));
+    }
+    if (rng.NextBernoulli(0.5)) {
+      shared.filters.emplace_back("x", CompareOp::kLt, int64_t{150});
+      copied.filters = shared.filters;
+    }
+
+    AggregateProcessor a, b;
+    ASSERT_TRUE(a.Bind(f.table, f.segment(), shared, {}).ok());
+    ASSERT_TRUE(b.Bind(f.table, f.segment(), copied, {}).ok());
+    ASSERT_EQ(a.expr_plan().num_nodes(), b.expr_plan().num_nodes())
+        << "trial " << trial;
+    EXPECT_EQ(a.expr_plan().columns(), b.expr_plan().columns());
+    EXPECT_EQ(a.expr_plan().num_slots(), b.expr_plan().num_slots());
+    for (size_t n = 0; n < a.expr_plan().num_nodes(); ++n) {
+      EXPECT_EQ(a.expr_plan().kernel(static_cast<int>(n)),
+                b.expr_plan().kernel(static_cast<int>(n)))
+          << "trial " << trial << " node " << n;
+    }
+
+    auto oracle = ExecuteQueryHashAgg(f.table, copied);
+    ASSERT_TRUE(oracle.ok());
+    for (const AggregationStrategy strategy :
+         {AggregationStrategy::kMultiAggregate, AggregationStrategy::kSortBased,
+          AggregationStrategy::kScalar}) {
+      ScanOptions options;
+      options.overrides.aggregation = strategy;
+      auto x = ExecuteQuery(f.table, shared, options);
+      auto y = ExecuteQuery(f.table, copied, options);
+      if (!x.ok()) {
+        // Multi-aggregate rejects rows over four qwords, for both specs.
+        EXPECT_EQ(x.status().code(), StatusCode::kNotSupported);
+        EXPECT_EQ(y.status().code(), StatusCode::kNotSupported);
+        continue;
+      }
+      ASSERT_TRUE(y.ok());
+      const std::string what = std::string("trial ") + std::to_string(trial) +
+                               " " + AggregationStrategyName(strategy);
+      ExpectSameRows(x.value(), y.value(), what);
+      ExpectSameRows(y.value(), oracle.value(), what + " vs oracle");
+    }
   }
 }
 

@@ -110,22 +110,6 @@ TEST(ExprTest, FusedMulRangeFormsMatchUnfusedSemantics) {
   }
 }
 
-TEST(ExprTest, FusedFormConsumesCachedLhs) {
-  // lhs found in an ExprCache must feed the fused loop directly.
-  std::vector<int64_t> a = {10, 20}, b = {1, 2};
-  const int64_t* cols[2] = {a.data(), b.data()};
-  ExprPtr shared = Expr::Add(Expr::Column(0), Expr::Constant(5));
-  ExprPtr fused =
-      Expr::Mul(shared, Expr::Sub(Expr::Constant(100), Expr::Column(1)));
-  std::vector<int64_t> shared_out(2), out(2);
-  shared->Evaluate(cols, 2, shared_out.data());
-  ExprCache cache;
-  cache.Put(shared.get(), shared_out.data());
-  fused->Evaluate(cols, 2, out.data(), &cache);
-  EXPECT_EQ(out[0], 15 * 99);
-  EXPECT_EQ(out[1], 25 * 98);
-}
-
 TEST(ExprTest, RandomizedAgainstDirectComputation) {
   Rng rng(12);
   const size_t n = 2000;

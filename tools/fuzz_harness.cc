@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <limits>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -47,7 +48,12 @@ struct ValueColumn {
 
 std::string GroupString(int id) { return "grp" + std::to_string(id); }
 
-Schema MakeFuzzSchema(const CaseParams& p, Rng* rng,
+// Expression-shape column `s` (CaseParams::expr_shapes): narrow enough that
+// any shape below, even with a factor at ±2^31, sums within int64 over the
+// largest case, so the oracle never overflows.
+constexpr int64_t kShapeColumnAbs = int64_t{1} << 12;
+
+Schema MakeFuzzSchema(const CaseParams& p, Rng* rng, Rng* shape_rng,
                       std::vector<ValueColumn>* value_cols,
                       bool* g1_is_string) {
   Schema schema;
@@ -114,14 +120,154 @@ Schema MakeFuzzSchema(const CaseParams& p, Rng* rng,
     value_cols->push_back(vc);
     schema.push_back({"w", ColumnType::kInt64, EncodingChoice::kBitPacked});
   }
+  if (p.expr_shapes > 0) {
+    const EncodingChoice encodings[6] = {
+        EncodingChoice::kBitPacked, EncodingChoice::kDictionary,
+        EncodingChoice::kDelta,     EncodingChoice::kRle,
+        EncodingChoice::kByteSliced, EncodingChoice::kAuto};
+    schema.push_back({"s", ColumnType::kInt64,
+                      encodings[shape_rng->NextBounded(6)]});
+  }
   return schema;
+}
+
+// The bounds a generated value column can take over the whole table, for
+// checking shapes against int64 before adding them.
+std::vector<ValueBounds> GlobalBounds(const Table& table,
+                                      const std::vector<ValueColumn>& cols,
+                                      size_t first_value_col) {
+  std::vector<ValueBounds> bounds(table.num_columns(), ValueBounds{0, 0});
+  for (size_t c = 0; c < cols.size(); ++c) {
+    bounds[first_value_col + c] = {cols[c].lo, cols[c].hi};
+  }
+  const int s = table.FindColumn("s");
+  if (s >= 0) bounds[s] = {-kShapeColumnAbs, kShapeColumnAbs};
+  return bounds;
+}
+
+// A structural copy: equal to `e` node for node, sharing no pointer.
+ExprPtr DeepCopy(const ExprPtr& e) {
+  switch (e->kind()) {
+    case ExprKind::kColumn:
+      return Expr::Column(e->column_index());
+    case ExprKind::kConstant:
+      return Expr::Constant(e->constant());
+    case ExprKind::kAdd:
+      return Expr::Add(DeepCopy(e->lhs()), DeepCopy(e->rhs()));
+    case ExprKind::kSub:
+      return Expr::Sub(DeepCopy(e->lhs()), DeepCopy(e->rhs()));
+    case ExprKind::kMul:
+      return Expr::Mul(DeepCopy(e->lhs()), DeepCopy(e->rhs()));
+  }
+  return nullptr;
+}
+
+// Appends the expression sums of CaseParams::expr_shapes, drawn from
+// `rng` only. A shape whose values could overflow a sum over any case
+// (|value| > 2^49 at 12200 rows) is redrawn over the narrow column `s`.
+void AppendExprShapes(const Table& table,
+                      const std::vector<ValueBounds>& bounds, Rng* rng,
+                      QuerySpec* query) {
+  const int s = table.FindColumn("s");
+  const int values[4] = {table.FindColumn("v0"), table.FindColumn("v1"),
+                         table.FindColumn("v2"), s};
+  auto safe = [&](const ExprPtr& e) {
+    Result<ValueBounds> b = e->EvalBounds(bounds);
+    const int64_t limit = int64_t{1} << 49;
+    return b.ok() && b.value().min >= -limit && b.value().max <= limit;
+  };
+  // c ± x, either operand order, with a small constant.
+  auto factor = [&](int col, int64_t c) {
+    switch (rng->NextBounded(3)) {
+      case 0:
+        return Expr::Sub(Expr::Constant(c), Expr::Column(col));
+      case 1:
+        return Expr::Add(Expr::Constant(c), Expr::Column(col));
+      default:
+        return Expr::Sub(Expr::Column(col), Expr::Constant(c));
+    }
+  };
+  auto small_constant = [&] { return rng->NextInRange(-1000, 1000); };
+  const int num_shapes = 1 + static_cast<int>(rng->NextBounded(2));
+  for (int k = 0; k < num_shapes; ++k) {
+    const uint64_t shape = rng->NextBounded(4);
+    const int a = values[rng->NextBounded(4)];
+    const int b = values[rng->NextBounded(4)];
+    const int d = values[rng->NextBounded(4)];
+    const int64_t c = small_constant();
+    const int64_t c2 = small_constant();
+    // Over `s` alone every shape below stays within the limit.
+    auto narrow_nested = [&] {
+      return Expr::Mul(Expr::Column(s), factor(s, c));
+    };
+    ExprPtr nested = Expr::Mul(Expr::Column(a), factor(b, c));
+    if (!safe(nested)) nested = narrow_nested();
+    switch (shape) {
+      case 0:  // a * (c ± b)
+        query->aggregates.push_back(AggregateSpec::SumExpr(nested));
+        break;
+      case 1: {  // (a * (c ± b)) * (c' ± d)
+        ExprPtr twice = Expr::Mul(nested, factor(d, c2));
+        if (!safe(twice)) twice = Expr::Mul(narrow_nested(), factor(s, c2));
+        query->aggregates.push_back(AggregateSpec::SumExpr(twice));
+        break;
+      }
+      case 2: {  // two aggregates sharing a subtree
+        const bool by_pointer = rng->NextBernoulli(0.5);
+        auto embed = [&] { return by_pointer ? nested : DeepCopy(nested); };
+        ExprPtr outer = Expr::Mul(embed(), factor(d, c2));
+        if (!safe(outer)) {
+          nested = narrow_nested();
+          outer = Expr::Mul(embed(), factor(s, c2));
+        }
+        query->aggregates.push_back(AggregateSpec::SumExpr(nested));
+        query->aggregates.push_back(AggregateSpec::SumExpr(outer));
+        break;
+      }
+      default: {
+        // A multiply operand whose bounds end exactly at, or one past,
+        // INT32_MAX or INT32_MIN: the narrow-multiply boundary.
+        const int64_t past = static_cast<int64_t>(rng->NextBounded(2));
+        const int64_t i32max = std::numeric_limits<int32_t>::max();
+        const int64_t i32min = std::numeric_limits<int32_t>::min();
+        const ValueBounds& sb = bounds[s];
+        ExprPtr edge;
+        switch (rng->NextBounded(4)) {
+          case 0:  // (k - s) peaks at INT32_MAX (+1)
+            edge = Expr::Sub(Expr::Constant(i32max + past + sb.min),
+                             Expr::Column(s));
+            break;
+          case 1:  // (s + k) bottoms out at INT32_MIN (-1)
+            edge = Expr::Add(Expr::Column(s),
+                             Expr::Constant(i32min - past - sb.min));
+            break;
+          case 2:  // a constant operand at the boundary
+            edge = Expr::Constant(rng->NextBernoulli(0.5) ? i32max + past
+                                                          : i32min - past);
+            break;
+          default:  // (k + s) peaks at INT32_MAX (+1)
+            edge = Expr::Add(Expr::Constant(i32max + past - sb.max),
+                             Expr::Column(s));
+            break;
+        }
+        query->aggregates.push_back(AggregateSpec::SumExpr(
+            rng->NextBernoulli(0.5) ? Expr::Mul(Expr::Column(s), edge)
+                                    : Expr::Mul(edge, factor(s, c2))));
+        break;
+      }
+    }
+  }
 }
 
 BuiltCase BuildCase(const CaseParams& p) {
   Rng rng(p.seed * 6364136223846793005ULL + 1442695040888963407ULL);
+  // Expression shapes draw from their own stream, so turning them on (or
+  // shrinking them away) leaves every other draw of the case unchanged.
+  Rng shape_rng(p.seed * 0x2545F4914F6CDD1DULL + 0x9E3779B97F4A7C15ULL);
   std::vector<ValueColumn> value_cols;
   bool g1_is_string = false;
-  BuiltCase built(MakeFuzzSchema(p, &rng, &value_cols, &g1_is_string));
+  BuiltCase built(
+      MakeFuzzSchema(p, &rng, &shape_rng, &value_cols, &g1_is_string));
   Table& table = built.table;
   QuerySpec& query = built.query;
 
@@ -176,6 +322,9 @@ BuiltCase BuildCase(const CaseParams& p) {
       }
       ints[first_value_col + c] = rng.NextInRange(vc.lo, vc.hi);
     }
+    if (p.expr_shapes > 0) {
+      ints.back() = shape_rng.NextInRange(-kShapeColumnAbs, kShapeColumnAbs);
+    }
     app.AppendRow(ints, strings);
   }
   app.Flush();
@@ -222,6 +371,11 @@ BuiltCase BuildCase(const CaseParams& p) {
         break;
       }
     }
+  }
+
+  if (p.expr_shapes > 0) {
+    AppendExprShapes(table, GlobalBounds(table, value_cols, first_value_col),
+                     &shape_rng, &query);
   }
 
   for (int f = 0; f < p.num_filters; ++f) {
@@ -404,7 +558,8 @@ std::string CaseParams::ToString() const {
      << " sorted_fraction=" << sorted_fraction
      << " memory_limit=" << memory_limit
      << " cost_model=" << cost_model
-     << " isa_tier=" << IsaTierName(static_cast<IsaTier>(isa_tier));
+     << " isa_tier=" << IsaTierName(static_cast<IsaTier>(isa_tier))
+     << " expr_shapes=" << expr_shapes;
   return os.str();
 }
 
@@ -471,6 +626,9 @@ CaseParams MakeCaseParams(uint64_t seed) {
   // each kernel tier diffs against the scalar-tier oracle. Drawn last for
   // the same reason as cost_model.
   p.isa_tier = static_cast<int>(rng.NextBounded(3));
+  // Half the cases add the plan-targeted expression shapes. Drawn last for
+  // the same reason as cost_model.
+  p.expr_shapes = static_cast<int>(rng.NextBounded(2));
   return p;
 }
 
@@ -520,6 +678,8 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
         p.memory_limit = std::stoull(val);
       } else if (key == "cost_model") {
         p.cost_model = std::stoi(val);
+      } else if (key == "expr_shapes") {
+        p.expr_shapes = std::stoi(val);
       } else if (key == "isa_tier") {
         p.isa_tier = -1;
         for (int t = 0; t <= 2; ++t) {
@@ -730,6 +890,7 @@ CaseParams Shrink(const CaseParams& p) {
     }
     if (best.cost_model != 0) add([](CaseParams& c) { c.cost_model = 0; });
     if (best.isa_tier != 0) add([](CaseParams& c) { c.isa_tier = 0; });
+    if (best.expr_shapes != 0) add([](CaseParams& c) { c.expr_shapes = 0; });
     if (best.num_threads != 1) add([](CaseParams& c) { c.num_threads = 1; });
     for (const CaseParams& c : candidates) {
       if (!RunOneCase(c, &scratch)) {  // still fails -> keep the reduction

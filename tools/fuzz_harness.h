@@ -77,6 +77,14 @@ struct CaseParams {
                      // 1 = avx2, 2 = avx512 (clamped to the hardware). The
                      // oracle always runs at the scalar tier, before the
                      // plans, so a kernel bug cannot appear on both sides
+  int expr_shapes = 0;  // >0 adds a narrow column `s` and extra expression
+                        // sums aimed at the Bind-time plan (DESIGN.md §18):
+                        // nested a*(c±b) and (a*(c±b))*(c'±d), aggregates
+                        // sharing a subtree by pointer or as a structural
+                        // copy, and constants putting multiply operand
+                        // bounds exactly at or one past ±2^31. Drawn from
+                        // their own stream, so the rest of the case is the
+                        // same with or without them
 
   // Replay line, e.g. "seed=42 rows=375 segment_rows=128 ... isa_tier=avx2".
   // Parsed back by ParseCaseParams.

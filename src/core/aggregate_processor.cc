@@ -601,7 +601,7 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
       input.value_slot = num_value_slots_++;
     }
   }
-  plan_.Finalize(column_bounds);
+  plan_.Finalize();
 
   // --- accumulators & engines -----------------------------------------------
   counts_.assign(static_cast<size_t>(num_groups) + 1, 0);

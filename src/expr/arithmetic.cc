@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
+#include "common/aligned_buffer.h"
 #include "common/macros.h"
 
 namespace bipie {
@@ -79,67 +79,80 @@ void Expr::Evaluate(const int64_t* const* columns, size_t n,
       std::copy(src, src + n, out);
       return;
     }
-    case ExprKind::kConstant:
+    case ExprKind::kConstant: {
       std::fill(out, out + n, constant_);
       return;
-    default:
-      break;
-  }
-  // Columns are read in place and constants broadcast; any other operand
-  // is evaluated into a temporary first.
-  auto operand = [&](const Expr& e, std::unique_ptr<int64_t[]>* tmp) {
-    if (e.kind_ == ExprKind::kColumn) return columns[e.column_index_];
-    *tmp = std::make_unique_for_overwrite<int64_t[]>(n);
-    e.Evaluate(columns, n, tmp->get());
-    return static_cast<const int64_t*>(tmp->get());
-  };
-  auto apply = [&](auto lhs, auto rhs) {
-    switch (kind_) {
-      case ExprKind::kAdd:
-        for (size_t i = 0; i < n; ++i) out[i] = lhs(i) + rhs(i);
-        return;
-      case ExprKind::kSub:
-        for (size_t i = 0; i < n; ++i) out[i] = lhs(i) - rhs(i);
-        return;
-      default:
-        for (size_t i = 0; i < n; ++i) out[i] = lhs(i) * rhs(i);
-        return;
     }
-  };
-  std::unique_ptr<int64_t[]> lhs_tmp, rhs_tmp;
-  const bool lhs_const = lhs_->kind_ == ExprKind::kConstant;
-  const bool rhs_const = rhs_->kind_ == ExprKind::kConstant;
-  const int64_t* a = lhs_const ? nullptr : operand(*lhs_, &lhs_tmp);
-  const int64_t ca = lhs_->constant_, cb = rhs_->constant_;
-  auto at_a = [a](size_t i) { return a[i]; };
-  auto const_a = [ca](size_t) { return ca; };
-  // x * (c ± col) in one loop (TPC-H Q1's factors), so the baseline
-  // engines keep the cost they are compared at.
-  const Expr& f = *rhs_;
-  if (kind_ == ExprKind::kMul && !lhs_const &&
-      (f.kind_ == ExprKind::kAdd || f.kind_ == ExprKind::kSub) &&
-      f.lhs_->kind_ == ExprKind::kConstant &&
-      f.rhs_->kind_ == ExprKind::kColumn) {
-    const int64_t c = f.lhs_->constant_;
-    const int64_t* x = columns[f.rhs_->column_index_];
-    if (f.kind_ == ExprKind::kSub) {
-      apply(at_a, [c, x](size_t i) { return c - x[i]; });
-    } else {
-      apply(at_a, [c, x](size_t i) { return c + x[i]; });
+    case ExprKind::kAdd:
+    case ExprKind::kSub:
+    case ExprKind::kMul: {
+      // Operand resolution order: column leaf (zero copy), else recurse
+      // into a per-level buffer.
+      AlignedBuffer lhs_local;
+      const int64_t* a;
+      if (lhs_->kind_ == ExprKind::kColumn) {
+        a = columns[lhs_->column_index_];
+      } else {
+        lhs_local.Resize(n * sizeof(int64_t));
+        lhs_->Evaluate(columns, n, lhs_local.data_as<int64_t>());
+        a = lhs_local.data_as<int64_t>();
+      }
+      // Fused forms: MemSQL's generated code compiles a whole expression
+      // into one loop; mirror that for the ubiquitous a * (c ± col) shape
+      // (TPC-H Q1's discount and tax factors) instead of materializing the
+      // inner operand.
+      if (kind_ == ExprKind::kMul &&
+          (rhs_->kind_ == ExprKind::kAdd || rhs_->kind_ == ExprKind::kSub) &&
+          rhs_->lhs_->kind_ == ExprKind::kConstant &&
+          rhs_->rhs_->kind_ == ExprKind::kColumn) {
+        const int64_t c = rhs_->lhs_->constant_;
+        const int64_t* col = columns[rhs_->rhs_->column_index_];
+        if (rhs_->kind_ == ExprKind::kSub) {
+          for (size_t i = 0; i < n; ++i) out[i] = a[i] * (c - col[i]);
+        } else {
+          for (size_t i = 0; i < n; ++i) out[i] = a[i] * (c + col[i]);
+        }
+        return;
+      }
+      AlignedBuffer rhs_local;
+      const int64_t* b = nullptr;
+      int64_t b_const = 0;
+      bool rhs_is_const = false;
+      if (rhs_->kind_ == ExprKind::kColumn) {
+        b = columns[rhs_->column_index_];
+      } else if (rhs_->kind_ == ExprKind::kConstant) {
+        rhs_is_const = true;
+        b_const = rhs_->constant_;
+      } else {
+        rhs_local.Resize(n * sizeof(int64_t));
+        rhs_->Evaluate(columns, n, rhs_local.data_as<int64_t>());
+        b = rhs_local.data_as<int64_t>();
+      }
+      if (rhs_is_const) {
+        switch (kind_) {
+          case ExprKind::kAdd:
+            for (size_t i = 0; i < n; ++i) out[i] = a[i] + b_const;
+            return;
+          case ExprKind::kSub:
+            for (size_t i = 0; i < n; ++i) out[i] = a[i] - b_const;
+            return;
+          default:
+            for (size_t i = 0; i < n; ++i) out[i] = a[i] * b_const;
+            return;
+        }
+      }
+      switch (kind_) {
+        case ExprKind::kAdd:
+          for (size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
+          return;
+        case ExprKind::kSub:
+          for (size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
+          return;
+        default:
+          for (size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
+          return;
+      }
     }
-    return;
-  }
-  const int64_t* b = rhs_const ? nullptr : operand(*rhs_, &rhs_tmp);
-  auto at_b = [b](size_t i) { return b[i]; };
-  auto const_b = [cb](size_t) { return cb; };
-  if (!lhs_const && !rhs_const) {
-    apply(at_a, at_b);
-  } else if (!lhs_const) {
-    apply(at_a, const_b);
-  } else if (!rhs_const) {
-    apply(const_a, at_b);
-  } else {
-    apply(const_a, const_b);
   }
 }
 

@@ -7,11 +7,10 @@
 //
 // Two evaluators exist. The scan lowers a segment's aggregate inputs at
 // Bind time into an ExprPlan (expr/expr_plan.h): structurally shared
-// subtrees, each column decoded once, fused and narrowed multiplies.
-// Expr::Evaluate below is the plain reference interpreter — one tree walk
-// per call, no sharing, no narrowing — used by the oracles
-// (ExecuteQueryHashAgg, ExecuteQueryNaive) and HybridTable, so they share
-// no kernel with the plan they check.
+// subtrees, each column decoded once, fused multiplies. Expr::Evaluate
+// below is the plain reference interpreter — one tree walk per call, no
+// sharing — used by the oracles (ExecuteQueryHashAgg, ExecuteQueryNaive)
+// and HybridTable, so they share no kernel with the plan they check.
 //
 // Expressions also carry interval arithmetic (EvalBounds) so the scan can
 // prove, from segment metadata, that sums cannot overflow int64 — the §2.1

@@ -1,11 +1,7 @@
 #include "expr/expr_plan.h"
 
-#include <immintrin.h>
-
 #include <algorithm>
-#include <limits>
 
-#include "common/cpu.h"
 #include "common/macros.h"
 
 namespace bipie {
@@ -27,50 +23,13 @@ int64_t WrapMul(int64_t x, int64_t y) {
                               static_cast<uint64_t>(y));
 }
 
-bool InInt32(const ValueBounds& b) {
-  return b.min >= std::numeric_limits<int32_t>::min() &&
-         b.max <= std::numeric_limits<int32_t>::max();
-}
-
-// 32x32->64 signed multiply of the low halves, the scalar twin of vpmuldq.
-int64_t MulLow32(int64_t x, int64_t y) {
-  return static_cast<int64_t>(static_cast<int32_t>(x)) *
-         static_cast<int32_t>(y);
-}
-
 // --- kernels ------------------------------------------------------------
-// `n` is a multiple of 4. Wide kernels are plain loops (the compiler
-// vectorizes them); narrow multiplies issue vpmuldq directly on AVX2, the
-// scalar tier computes the same low-half products.
-
-void Fill(int64_t* out, size_t n, int64_t c) { std::fill(out, out + n, c); }
+// Plain loops over `n` rows, n a multiple of 4; the compiler vectorizes
+// them.
 
 template <typename Fn>
 void Map(int64_t* BIPIE_RESTRICT out, size_t n, Fn fn) {
   for (size_t i = 0; i < n; ++i) out[i] = fn(i);
-}
-
-__m256i Load4(const int64_t* p) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
-void Store4(int64_t* p, __m256i v) {
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-}
-
-// out = a * factor, the factor given per row (scalar) and per 4 rows
-// (vector). A narrow multiply's operands are proven to fit int32.
-template <typename Factor, typename Factor4>
-void Multiply(int64_t* out, const int64_t* a, size_t n, bool narrow,
-              bool avx2, Factor factor, Factor4 factor4) {
-  if (!narrow) {
-    Map(out, n, [&](size_t i) { return WrapMul(a[i], factor(i)); });
-  } else if (avx2) {
-    for (size_t i = 0; i < n; i += 4) {
-      Store4(out + i, _mm256_mul_epi32(Load4(a + i), factor4(i)));
-    }
-  } else {
-    Map(out, n, [&](size_t i) { return MulLow32(a[i], factor(i)); });
-  }
 }
 
 }  // namespace
@@ -132,10 +91,6 @@ int ExprPlan::Add(const Expr& expr) {
   return id;
 }
 
-bool ExprPlan::FitsInt32(int id) const {
-  return nodes_[id].bounded && InInt32(nodes_[id].bounds);
-}
-
 bool ExprPlan::Fusable(int id) const {
   const Node& n = nodes_[id];
   if (n.root || n.uses != 1) return false;
@@ -151,7 +106,6 @@ void ExprPlan::LowerMul(Node& node) {
     const bool const_lhs = l.kind == ExprKind::kConstant;
     node.a = const_lhs ? node.rhs : node.lhs;
     node.c = const_lhs ? l.constant : r.constant;
-    node.narrow = FitsInt32(node.a) && InInt32(ValueBounds{node.c, node.c});
     node.kernel = Kernel::kMulC;
     return;
   }
@@ -170,7 +124,6 @@ void ExprPlan::LowerMul(Node& node) {
     node.b = const_lhs ? f.rhs : f.lhs;
     const int64_t k = const_lhs ? nodes_[f.lhs].constant
                                 : nodes_[f.rhs].constant;
-    node.narrow = FitsInt32(node.a) && FitsInt32(factor);
     if (f.kind == ExprKind::kSub && const_lhs) {
       node.c = k;  // a * (k - x)
       node.kernel = Kernel::kMulRSubC;
@@ -184,57 +137,20 @@ void ExprPlan::LowerMul(Node& node) {
   }
   node.a = node.lhs;
   node.b = node.rhs;
-  node.narrow = FitsInt32(node.a) && FitsInt32(node.b);
   node.kernel = Kernel::kMul;
 }
 
-void ExprPlan::Finalize(const std::vector<ValueBounds>& column_bounds) {
-  // Uses and bounds, bottom-up (ids are in dependency order).
+void ExprPlan::Finalize() {
+  // Uses, bottom-up (ids are in dependency order).
   for (Node& n : nodes_) {
     n.uses = n.root ? 1 : 0;
     n.kernel = Kernel::kConst;
-    n.narrow = false;
     n.slot = -1;
   }
-  for (Node& n : nodes_) {
-    switch (n.kind) {
-      case ExprKind::kColumn:
-        n.bounded = n.column >= 0 &&
-                    static_cast<size_t>(n.column) < column_bounds.size();
-        if (n.bounded) n.bounds = column_bounds[n.column];
-        continue;
-      case ExprKind::kConstant:
-        n.bounded = true;
-        n.bounds = {n.constant, n.constant};
-        continue;
-      default:
-        break;
-    }
+  for (const Node& n : nodes_) {
+    if (n.kind == ExprKind::kColumn || n.kind == ExprKind::kConstant) continue;
     ++nodes_[n.lhs].uses;
     ++nodes_[n.rhs].uses;
-    const Node& l = nodes_[n.lhs];
-    const Node& r = nodes_[n.rhs];
-    n.bounded = false;
-    if (!l.bounded || !r.bounded) continue;
-    const __int128 al = l.bounds.min, ah = l.bounds.max;
-    const __int128 bl = r.bounds.min, bh = r.bounds.max;
-    __int128 lo, hi;
-    if (n.kind == ExprKind::kAdd) {
-      lo = al + bl;
-      hi = ah + bh;
-    } else if (n.kind == ExprKind::kSub) {
-      lo = al - bh;
-      hi = ah - bl;
-    } else {
-      const __int128 p[4] = {al * bl, al * bh, ah * bl, ah * bh};
-      lo = *std::min_element(p, p + 4);
-      hi = *std::max_element(p, p + 4);
-    }
-    const __int128 kMin = std::numeric_limits<int64_t>::min();
-    const __int128 kMax = std::numeric_limits<int64_t>::max();
-    if (lo < kMin || hi > kMax) continue;
-    n.bounded = true;
-    n.bounds = {static_cast<int64_t>(lo), static_cast<int64_t>(hi)};
   }
 
   // Kernels. Multiplies go first within each node's turn, so a factor they
@@ -296,25 +212,17 @@ void ExprPlan::Finalize(const std::vector<ValueBounds>& column_bounds) {
   }
 }
 
-int ExprPlan::num_narrow_multiplies() const {
-  int count = 0;
-  for (const Node& n : nodes_) count += n.narrow;
-  return count;
-}
-
 void ExprPlan::Run(size_t rows) const {
   const size_t n = (rows + 3) & ~size_t{3};
-  const bool avx2 = CurrentIsaTier() >= IsaTier::kAvx2;
   for (const Node& node : nodes_) {
     if (node.slot < 0 || node.kernel == Kernel::kLoad) continue;
     int64_t* out = Out(node);
     const int64_t* a = node.a >= 0 ? values(node.a) : nullptr;
     const int64_t* b = node.b >= 0 ? values(node.b) : nullptr;
     const int64_t c = node.c;
-    const __m256i vc = _mm256_set1_epi64x(c);
     switch (node.kernel) {
       case Kernel::kFill:
-        Fill(out, n, c);
+        std::fill(out, out + n, c);
         break;
       case Kernel::kAdd:
         Map(out, n, [&](size_t i) { return WrapAdd(a[i], b[i]); });
@@ -329,26 +237,16 @@ void ExprPlan::Run(size_t rows) const {
         Map(out, n, [&](size_t i) { return WrapSub(c, a[i]); });
         break;
       case Kernel::kMul:
-        Multiply(
-            out, a, n, node.narrow, avx2, [&](size_t i) { return b[i]; },
-            [&](size_t i) { return Load4(b + i); });
+        Map(out, n, [&](size_t i) { return WrapMul(a[i], b[i]); });
         break;
       case Kernel::kMulC:
-        Multiply(
-            out, a, n, node.narrow, avx2, [&](size_t) { return c; },
-            [&](size_t) { return vc; });
+        Map(out, n, [&](size_t i) { return WrapMul(a[i], c); });
         break;
       case Kernel::kMulAddC:
-        Multiply(
-            out, a, n, node.narrow, avx2,
-            [&](size_t i) { return WrapAdd(b[i], c); },
-            [&](size_t i) { return _mm256_add_epi64(Load4(b + i), vc); });
+        Map(out, n, [&](size_t i) { return WrapMul(a[i], WrapAdd(b[i], c)); });
         break;
       case Kernel::kMulRSubC:
-        Multiply(
-            out, a, n, node.narrow, avx2,
-            [&](size_t i) { return WrapSub(c, b[i]); },
-            [&](size_t i) { return _mm256_sub_epi64(vc, Load4(b + i)); });
+        Map(out, n, [&](size_t i) { return WrapMul(a[i], WrapSub(c, b[i])); });
         break;
       case Kernel::kLoad:
       case Kernel::kConst:

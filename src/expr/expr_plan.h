@@ -14,8 +14,7 @@
 //
 //   * a * (c ± x) fuses into one loop instead of materializing the factor
 //     (Q1's discount and tax factors);
-//   * a multiply whose operands segment metadata bounds to int32 runs as a
-//     32x32->64 multiply (vpmuldq on AVX2), exact by the bound proof;
+//   * a constant operand is an immediate, not a filled slot;
 //   * constant-only subtrees fold at Add time.
 //
 // Kernels compute modulo 2^64, which is what the reference interpreter
@@ -57,10 +56,9 @@ class ExprPlan {
   // subtrees resolve to the same node. Must precede Finalize.
   int Add(const Expr& expr);
 
-  // Chooses every node's kernel from the value bounds (column_bounds[c]
-  // bounds table column c) and assigns slots: column slots first, in
+  // Chooses every node's kernel and assigns slots: column slots first, in
   // columns() order, then computed nodes.
-  void Finalize(const std::vector<ValueBounds>& column_bounds);
+  void Finalize();
 
   size_t num_nodes() const { return nodes_.size(); }
   // Slots the storage must hold: one per column, one per computed node.
@@ -68,10 +66,6 @@ class ExprPlan {
   // Table column index of each column slot.
   const std::vector<int>& columns() const { return columns_; }
   Kernel kernel(int node) const { return nodes_[node].kernel; }
-  // A multiply whose operands are both proven to fit int32 runs as
-  // 32x32->64 (diagnostics, tests).
-  bool narrow(int node) const { return nodes_[node].narrow; }
-  int num_narrow_multiplies() const;
 
   // Points the plan at one batch's storage: num_slots() arrays of `stride`
   // int64 each, stride a multiple of 4 and >= the row count Run is given.
@@ -101,10 +95,7 @@ class ExprPlan {
     // Lowering.
     bool root = false;
     int uses = 0;
-    bool bounded = false;  // bounds below are proven
-    ValueBounds bounds;
     Kernel kernel = Kernel::kConst;
-    bool narrow = false;
     int a = -1;
     int b = -1;
     int64_t c = 0;
@@ -114,7 +105,6 @@ class ExprPlan {
   int Intern(const Node& key);
   // A (c ± x) node Mul can absorb: one constant side, used only there.
   bool Fusable(int id) const;
-  bool FitsInt32(int id) const;
   void LowerMul(Node& node);
   int64_t* Out(const Node& node) const {
     return base_ + static_cast<size_t>(node.slot) * stride_;

@@ -289,7 +289,6 @@ TEST(AggregateProcessorTest, ParsedAndBuiltQ1BindTheSamePlan) {
     // price, discount, tax: each decoded once, the raw price sum included.
     EXPECT_EQ(a.columns().size(), 3u);
     EXPECT_EQ(a.num_slots(), b.num_slots());
-    EXPECT_EQ(a.num_narrow_multiplies(), b.num_narrow_multiplies());
   }
   auto from_sql = ExecuteQuery(lineitem, sql);
   auto from_built = ExecuteQuery(lineitem, built);

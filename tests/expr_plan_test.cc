@@ -4,12 +4,10 @@
 
 #include <functional>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "common/aligned_buffer.h"
 #include "common/random.h"
-#include "test_util.h"
 
 namespace bipie {
 namespace {
@@ -62,7 +60,7 @@ TEST(ExprPlanTest, StructurallyEqualSubtreesShareOneNode) {
   const int dp = plan.Add(*disc_price());
   const int ch = plan.Add(*charge);
   const int raw = plan.Add(*Expr::Column(0));
-  plan.Finalize({{1, 1000}, {0, 10}, {0, 8}});
+  plan.Finalize();
   // Columns 0..2, constant 100, the two factors and the two products.
   EXPECT_EQ(plan.num_nodes(), 8u);
   EXPECT_EQ(plan.columns(), (std::vector<int>{0, 1, 2}));
@@ -70,7 +68,6 @@ TEST(ExprPlanTest, StructurallyEqualSubtreesShareOneNode) {
   EXPECT_EQ(plan.num_slots(), 5u);
   EXPECT_EQ(plan.kernel(dp), ExprPlan::Kernel::kMulRSubC);
   EXPECT_EQ(plan.kernel(ch), ExprPlan::Kernel::kMulAddC);
-  EXPECT_EQ(plan.num_narrow_multiplies(), 2);
   EXPECT_EQ(plan.kernel(raw), ExprPlan::Kernel::kLoad);
 }
 
@@ -83,10 +80,9 @@ TEST(ExprPlanTest, FusedFormReadsSharedLhsSlot) {
   PlanRunner r;
   const int s = r.plan.Add(*shared);
   const int f = r.plan.Add(*fused);
-  r.plan.Finalize({{-3, 20}, {1, 300}});
+  r.plan.Finalize();
   EXPECT_EQ(r.plan.kernel(s), ExprPlan::Kernel::kAddC);
   EXPECT_EQ(r.plan.kernel(f), ExprPlan::Kernel::kMulRSubC);
-  EXPECT_TRUE(r.plan.narrow(f));
   const auto out = r.Run({s, f}, cols, 3);
   EXPECT_EQ(out[1][0], 15 * 99);
   EXPECT_EQ(out[1][1], 25 * 98);
@@ -99,10 +95,9 @@ TEST(ExprPlanTest, SharedFactorIsMaterializedNotFused) {
   ExprPlan plan;
   const int m = plan.Add(*Expr::Mul(Expr::Column(0), factor));
   const int f = plan.Add(*factor);
-  plan.Finalize({{0, 9}, {0, 9}});
+  plan.Finalize();
   EXPECT_EQ(plan.kernel(f), ExprPlan::Kernel::kRSubC);
   EXPECT_EQ(plan.kernel(m), ExprPlan::Kernel::kMul);
-  EXPECT_TRUE(plan.narrow(m));
 }
 
 TEST(ExprPlanTest, ConstantSubtreesFold) {
@@ -111,9 +106,8 @@ TEST(ExprPlanTest, ConstantSubtreesFold) {
       Expr::Column(0), Expr::Sub(Expr::Constant(0), Expr::Constant(3))));
   const int constant =
       plan.Add(*Expr::Add(Expr::Constant(2), Expr::Constant(40)));
-  plan.Finalize({{0, 5}});
+  plan.Finalize();
   EXPECT_EQ(plan.kernel(root), ExprPlan::Kernel::kMulC);
-  EXPECT_TRUE(plan.narrow(root));
   EXPECT_EQ(plan.kernel(constant), ExprPlan::Kernel::kFill);
   PlanRunner r;
   r.plan = plan;
@@ -124,112 +118,51 @@ TEST(ExprPlanTest, ConstantSubtreesFold) {
   EXPECT_EQ(out[1][1], 42);
 }
 
-// One multiply shape with operand bounds given by the column bounds; the
-// data hits every corner of those bounds.
-struct BoundaryCase {
-  const char* name;
-  ExprPtr expr;
-  std::vector<ValueBounds> bounds;
-};
-
-std::vector<BoundaryCase> BoundaryCases(int64_t lo, int64_t hi) {
-  // x in [lo, hi]; y in [lo, hi] for the slot x slot form.
-  std::vector<BoundaryCase> cases;
-  cases.push_back({"a*b", Expr::Mul(Expr::Column(0), Expr::Column(1)),
-                   {{lo, hi}, {lo, hi}}});
-  // a * (c - y): c - y spans [lo, hi] when y spans [c - hi, c - lo].
-  const int64_t c = 1000;
-  cases.push_back(
-      {"a*(c-b)",
-       Expr::Mul(Expr::Column(0),
+// Each multiply kernel (slot x slot, fused a * (c - x), fused a * (x + c))
+// with both operands spanning [lo, hi]; the data hits every corner.
+TEST(ExprPlanTest, MultiplyKernelsExactAtOperandCorners) {
+  const int64_t lo = kI32Min - 1, hi = kI32Max + 1, c = 1000;
+  struct Case {
+    ExprPtr expr;
+    ExprPlan::Kernel kernel;
+    std::vector<ValueBounds> bounds;  // of columns 0 and 1
+  };
+  // c - y spans [lo, hi] when y spans [c - hi, c - lo]; y + c when y spans
+  // [lo - c, hi - c].
+  const Case cases[] = {
+      {Expr::Mul(Expr::Column(0), Expr::Column(1)), ExprPlan::Kernel::kMul,
+       {{lo, hi}, {lo, hi}}},
+      {Expr::Mul(Expr::Column(0),
                  Expr::Sub(Expr::Constant(c), Expr::Column(1))),
-       {{lo, hi}, {c - hi, c - lo}}});
-  // a * (y + c): y + c spans [lo, hi] when y spans [lo - c, hi - c].
-  cases.push_back(
-      {"a*(b+c)",
-       Expr::Mul(Expr::Column(0),
+       ExprPlan::Kernel::kMulRSubC, {{lo, hi}, {c - hi, c - lo}}},
+      {Expr::Mul(Expr::Column(0),
                  Expr::Add(Expr::Column(1), Expr::Constant(c))),
-       {{lo, hi}, {lo - c, hi - c}}});
-  return cases;
-}
-
-std::vector<std::vector<int64_t>> CornerData(const std::vector<ValueBounds>& b,
-                                             size_t n) {
-  std::vector<std::vector<int64_t>> cols(b.size(), std::vector<int64_t>(n));
-  Rng rng(5);
-  for (size_t c = 0; c < b.size(); ++c) {
-    for (size_t i = 0; i < n; ++i) {
-      // Every extreme pairing first, then uniform values.
-      const size_t pick = c == 0 ? i % 2 : (i / 2) % 2;
-      cols[c][i] = i < 4 ? (pick == 0 ? b[c].min : b[c].max)
-                         : rng.NextInRange(b[c].min, b[c].max);
-    }
-  }
-  return cols;
-}
-
-TEST(ExprPlanTest, NarrowMultiplyAtInt32BoundsIsExact) {
-  test::ForEachIsaTier([](IsaTier tier) {
-    for (const BoundaryCase& bc : BoundaryCases(kI32Min, kI32Max)) {
-      PlanRunner r;
-      const int root = r.plan.Add(*bc.expr);
-      r.plan.Finalize(bc.bounds);
-      EXPECT_EQ(r.plan.num_narrow_multiplies(), 1)
-          << bc.name << " tier=" << IsaTierName(tier);
-      const size_t n = 103;  // not a multiple of 4: the tail runs too
-      const auto cols = CornerData(bc.bounds, n);
-      const auto out = r.Run({root}, cols, n);
-      const auto expected = Reference(bc.expr, cols, n);
+       ExprPlan::Kernel::kMulAddC, {{lo, hi}, {lo - c, hi - c}}},
+  };
+  const size_t n = 103;  // not a multiple of 4: the tail runs too
+  for (const Case& tc : cases) {
+    std::vector<std::vector<int64_t>> cols(2, std::vector<int64_t>(n));
+    Rng rng(5);
+    for (size_t k = 0; k < 2; ++k) {
       for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(out[0][i], expected[i])
-            << bc.name << " row " << i << " tier=" << IsaTierName(tier);
+        // Every extreme pairing first, then uniform values.
+        const ValueBounds& b = tc.bounds[k];
+        const size_t pick = k == 0 ? i % 2 : (i / 2) % 2;
+        cols[k][i] = i < 4 ? (pick == 0 ? b.min : b.max)
+                           : rng.NextInRange(b.min, b.max);
       }
     }
-  });
-}
-
-TEST(ExprPlanTest, OnePastInt32BoundsFallsBackToWide) {
-  test::ForEachIsaTier([](IsaTier tier) {
-    for (const auto& [lo, hi] : {std::pair{kI32Min - 1, kI32Max},
-                                 std::pair{kI32Min, kI32Max + 1}}) {
-      for (const BoundaryCase& bc : BoundaryCases(lo, hi)) {
-        PlanRunner r;
-        const int root = r.plan.Add(*bc.expr);
-        r.plan.Finalize(bc.bounds);
-        EXPECT_EQ(r.plan.num_narrow_multiplies(), 0)
-            << bc.name << " [" << lo << ", " << hi << "]";
-        const size_t n = 64;
-        const auto cols = CornerData(bc.bounds, n);
-        const auto out = r.Run({root}, cols, n);
-        const auto expected = Reference(bc.expr, cols, n);
-        for (size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(out[0][i], expected[i])
-              << bc.name << " row " << i << " tier=" << IsaTierName(tier);
-        }
-      }
+    PlanRunner r;
+    const int root = r.plan.Add(*tc.expr);
+    r.plan.Finalize();
+    EXPECT_EQ(r.plan.kernel(root), tc.kernel);
+    const auto out = r.Run({root}, cols, n);
+    const auto expected = Reference(tc.expr, cols, n);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(out[0][i], expected[i])
+          << "kernel " << static_cast<int>(tc.kernel) << " row " << i;
     }
-  });
-}
-
-TEST(ExprPlanTest, ConstantOperandAtInt32Bounds) {
-  for (const int64_t k : {kI32Min, kI32Max, kI32Min - 1, kI32Max + 1}) {
-    ExprPlan plan;
-    const int root = plan.Add(*Expr::Mul(Expr::Column(0), Expr::Constant(k)));
-    plan.Finalize({{-5, 5}});
-    EXPECT_EQ(plan.kernel(root), ExprPlan::Kernel::kMulC);
-    EXPECT_EQ(plan.narrow(root), k >= kI32Min && k <= kI32Max) << k;
   }
-}
-
-TEST(ExprPlanTest, UnboundedOperandsStayWide) {
-  // Bounds that overflow int64 prove nothing: every multiply is wide.
-  ExprPlan plan;
-  const int64_t big = int64_t{1} << 40;
-  const int root = plan.Add(*Expr::Mul(
-      Expr::Mul(Expr::Column(0), Expr::Column(0)), Expr::Column(0)));
-  plan.Finalize({{-big, big}});
-  EXPECT_EQ(plan.kernel(root), ExprPlan::Kernel::kMul);
-  EXPECT_EQ(plan.num_narrow_multiplies(), 0);
 }
 
 TEST(ExprPlanTest, RandomTreesMatchReferenceInterpreter) {
@@ -257,25 +190,22 @@ TEST(ExprPlanTest, RandomTreesMatchReferenceInterpreter) {
         return Expr::Mul(l, r);
     }
   };
-  test::ForEachIsaTier([&](IsaTier tier) {
-    for (int trial = 0; trial < 200; ++trial) {
-      // Depth 3 keeps every product inside int64 for the reference.
-      std::vector<ExprPtr> exprs = {random_tree(3), random_tree(2)};
-      PlanRunner r;
-      std::vector<int> roots;
-      for (const ExprPtr& e : exprs) roots.push_back(r.plan.Add(*e));
-      r.plan.Finalize(bounds);
-      const auto out = r.Run(roots, cols, n);
-      for (size_t e = 0; e < exprs.size(); ++e) {
-        const auto expected = Reference(exprs[e], cols, n);
-        for (size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(out[e][i], expected[i])
-              << "trial " << trial << " expr " << e << " row " << i
-              << " tier=" << IsaTierName(tier);
-        }
+  for (int trial = 0; trial < 200; ++trial) {
+    // Depth 3 keeps every product inside int64 for the reference.
+    std::vector<ExprPtr> exprs = {random_tree(3), random_tree(2)};
+    PlanRunner r;
+    std::vector<int> roots;
+    for (const ExprPtr& e : exprs) roots.push_back(r.plan.Add(*e));
+    r.plan.Finalize();
+    const auto out = r.Run(roots, cols, n);
+    for (size_t e = 0; e < exprs.size(); ++e) {
+      const auto expected = Reference(exprs[e], cols, n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(out[e][i], expected[i])
+            << "trial " << trial << " expr " << e << " row " << i;
       }
     }
-  });
+  }
 }
 
 }  // namespace

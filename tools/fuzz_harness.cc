@@ -226,7 +226,8 @@ void AppendExprShapes(const Table& table,
       }
       default: {
         // A multiply operand whose bounds end exactly at, or one past,
-        // INT32_MAX or INT32_MIN: the narrow-multiply boundary.
+        // INT32_MAX or INT32_MIN: products a 32x32->64 multiply could no
+        // longer compute exactly.
         const int64_t past = static_cast<int64_t>(rng->NextBounded(2));
         const int64_t i32max = std::numeric_limits<int32_t>::max();
         const int64_t i32min = std::numeric_limits<int32_t>::min();

@@ -17,6 +17,7 @@
 #include "bench/bench_util.h"
 #include "core/aggregate_processor.h"
 #include "storage/table.h"
+#include "vector/selection_vector.h"
 
 using namespace bipie;        // NOLINT
 using namespace bipie::bench;  // NOLINT
@@ -59,7 +60,8 @@ double MeasureCombo(const Table& table, const QuerySpec& query,
   return MeasureCyclesPerRow(n, [&] {
     for (size_t start = 0; start < n; start += kBatchRows) {
       const size_t m = std::min(kBatchRows, n - start);
-      Status ps = processor.ProcessBatch(start, m, sel_ptr + start);
+      Status ps = processor.ProcessBatch(start, m, sel_ptr + start,
+                                         CountSelected(sel_ptr + start, m));
       BIPIE_DCHECK(ps.ok());
     }
   });

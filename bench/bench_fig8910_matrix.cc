@@ -23,6 +23,7 @@
 #include "bench/bench_util.h"
 #include "core/aggregate_processor.h"
 #include "storage/table.h"
+#include "vector/selection_vector.h"
 
 using namespace bipie;        // NOLINT
 using namespace bipie::bench;  // NOLINT
@@ -122,8 +123,9 @@ void RunConfig(const char* figure, int num_groups, int bits) {
               [&] {
                 for (size_t start = 0; start < n; start += kBatchRows) {
                   const size_t m = std::min(kBatchRows, n - start);
-                  Status st =
-                      processor.ProcessBatch(start, m, sel_ptr + start);
+                  Status st = processor.ProcessBatch(
+                      start, m, sel_ptr + start,
+                      CountSelected(sel_ptr + start, m));
                   BIPIE_DCHECK(st.ok());
                 }
               },

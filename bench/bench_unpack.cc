@@ -1,13 +1,17 @@
 // Kernel layer: cycles per value of the sequential bit-unpack kernels
-// (encoding/bitpack.h) per ISA tier x bit width x output word, plus the
-// fused range filter (BitPackedSelect) per tier x width.
+// (encoding/bitpack.h) per ISA tier x bit width x output word, the
+// one-pass logical decode (BitUnpackAffine) and the fused range filter
+// (BitPackedSelect) per tier x width.
 //
 // Each cell processes BIPIE_BENCH_ROWS values in 4096-value batches, the
 // scan's batch size, cycling over a 64K-value packed block that stays in
 // L2, so the number is the kernel's decode cost and not memory bandwidth
 // (the query benches cover that). Labels are "<tier>/w<width>/u<bits>" for
-// unpack cells, e.g. "avx2/w12/u16", and "<tier>/w<width>/select" for the
-// filter; the metric is cycles_per_row, i.e. cycles per value. The widths
+// unpack cells, e.g. "avx2/w12/u16", "<tier>/w<width>/decode" and
+// "<tier>/w<width>/decode_x100" for base + v and base + 100 * v into int64
+// (a frame-of-reference column without and with a scale), and
+// "<tier>/w<width>/select" for the filter; the metric is cycles_per_row,
+// i.e. cycles per value. The widths
 // sit on both sides of every window-shape boundary (8 | 25 | 57 bits) and
 // include the TPC-H Q1/Q6 filter widths (4, 12, 13).
 #include <algorithm>
@@ -66,6 +70,19 @@ int main() {
         });
         std::printf("%-8s %-6d u%-5d %12.3f\n", IsaTierName(tier), w,
                     word * 8, cycles);
+      }
+      for (const uint64_t scale : {uint64_t{1}, uint64_t{100}}) {
+        std::snprintf(label, sizeof(label), "%s/w%d/decode%s",
+                      IsaTierName(tier), w, scale == 1 ? "" : "_x100");
+        const double cycles = MeasureCyclesPerRow(rows, label, [&] {
+          ForEachBatch(rows, [&](size_t start, size_t m) {
+            BitUnpackAffine(packed.data(), start, m, w, -123456, scale,
+                            out.data_as<int64_t>());
+            Consume(out.data(), m * 8);
+          });
+        });
+        std::printf("%-8s %-6d %-6s %12.3f\n", IsaTierName(tier), w,
+                    scale == 1 ? "dec" : "dec100", cycles);
       }
       // A range that keeps about half the values: the verdicts are
       // unpredictable, as for a real filter.

@@ -38,16 +38,18 @@ void DecodeColumnScalar(const EncodedColumn& col, int64_t* out) {
   const uint8_t* packed = col.packed_data();
   const int w = col.bit_width();
   const uint64_t base = static_cast<uint64_t>(col.base());
+  const uint64_t scale = col.scale();
   switch (col.encoding()) {
     case Encoding::kBitPacked:
       for (size_t i = 0; i < n; ++i) {
-        out[i] = static_cast<int64_t>(BitUnpackOne(packed, i, w) + base);
+        out[i] =
+            static_cast<int64_t>(base + scale * BitUnpackOne(packed, i, w));
       }
       return;
     case Encoding::kByteSliced:
       for (size_t i = 0; i < n; ++i) {
         out[i] = static_cast<int64_t>(
-            ByteSliceAssembleOne(packed, n, w, i) + base);
+            base + scale * ByteSliceAssembleOne(packed, n, w, i));
       }
       return;
     case Encoding::kDictionary: {

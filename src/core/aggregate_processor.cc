@@ -123,6 +123,7 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
         input.column_index = idx;
         input.bit_width = col.bit_width();
         input.base = col.base();
+        input.scale = col.scale();
         input.max_offset = col.id_bound() - 1;
         input.compensate = true;
       } else {
@@ -160,7 +161,7 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
       max_abs = std::max<__int128>(-static_cast<__int128>(bounds.value().min),
                                    bounds.value().max);
     } else {
-      max_abs = static_cast<__int128>(input.max_offset) +
+      max_abs = static_cast<__int128>(input.max_offset) * input.scale +
                 (input.base < 0 ? -static_cast<__int128>(input.base)
                                 : static_cast<__int128>(input.base));
     }
@@ -584,8 +585,8 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
   // expressions and decoded columns, and — under multi-aggregate — raw
   // 8-byte sums, which then share the decoded slot an expression may read
   // too. The overflow proof above already bounds their logical values by
-  // max_offset + |base|, so they need no compensation. Raw inputs kept in
-  // the offset domain get a dense value slot of their own.
+  // max_offset * scale + |base|, so they need no compensation. Raw inputs
+  // kept in the offset domain get a dense value slot of their own.
   plan_.Clear();
   num_value_slots_ = 0;
   for (AggInput& input : inputs_) {
@@ -708,9 +709,13 @@ void AggregateProcessor::EvaluatePlan(size_t start, size_t n,
         if (col.encoding() == Encoding::kBitPacked) {
           GatherSelect(RebasedPacked(col, start), col.bit_width(), indices, m,
                        dst, 8);
-          const int64_t base = col.base();
-          if (base != 0) {
-            for (size_t r = 0; r < m; ++r) dst[r] += base;
+          const uint64_t base = static_cast<uint64_t>(col.base());
+          const uint64_t scale = col.scale();
+          if (base != 0 || scale != 1) {
+            for (size_t r = 0; r < m; ++r) {
+              dst[r] = static_cast<int64_t>(
+                  base + scale * static_cast<uint64_t>(dst[r]));
+            }
           }
           continue;
         }
@@ -780,15 +785,11 @@ size_t AggregateProcessor::BuildDenseBatch(size_t start, size_t n,
 }
 
 Status AggregateProcessor::ProcessBatch(size_t start, size_t n,
-                                        const uint8_t* sel) {
+                                        const uint8_t* sel, size_t selected) {
   BIPIE_DCHECK(start % kBatchRows == 0);
-  if (n == 0) return Status::OK();
-  size_t selected = n;
-  if (sel != nullptr) {
-    selected = CountSelected(sel, n);
-    if (selected == 0) return Status::OK();
-    if (selected == n) sel = nullptr;  // filter passed everything
-  }
+  BIPIE_DCHECK(selected == (sel != nullptr ? CountSelected(sel, n) : n));
+  if (n == 0 || selected == 0) return Status::OK();
+  if (selected == n) sel = nullptr;  // filter passed everything
   const BatchMode mode = PickBatchMode(n, selected, sel);
   switch (mode) {
     case BatchMode::kFull:
@@ -878,7 +879,7 @@ Status AggregateProcessor::ProcessRunSpan(uint8_t group, size_t start,
       return Status::Internal("run span over a non-run-representable input");
     }
     // Raw bit-packed SUM: fused span sum over the packed bytes, in the
-    // offset domain (Finish compensates with base * count).
+    // offset domain (Finish compensates: scale * sum + base * count).
     reinterpret_cast<uint64_t*>(sums_.data() + i * stride)[group] +=
         SumBitPackedRange(input.column->packed_data(), start, len,
                           input.bit_width);
@@ -1127,16 +1128,24 @@ Status AggregateProcessor::Finish(SegmentResult* out) {
         value = static_cast<int64_t>(count);
       } else {
         const AggInput& input = inputs_[input_idx];
+        // Offset-domain results map back through v = base + scale * o:
+        // a sum of count offsets gains base * count, an extremum is
+        // rebased once (the map is monotonic). Unsigned arithmetic: the
+        // overflow proof bounds the true result, not the empty groups'
+        // extremum sentinels.
+        const auto base = static_cast<uint64_t>(input.base);
         if (input.op == AggInput::Op::kSum) {
           value = sums_[static_cast<size_t>(input_idx) * stride + g];
           if (input.compensate) {
-            value += input.base * static_cast<int64_t>(count);
+            value = static_cast<int64_t>(
+                input.scale * static_cast<uint64_t>(value) + base * count);
           }
         } else {
           const uint64_t raw =
               minmax_[static_cast<size_t>(input_idx) * stride + g];
-          value = static_cast<int64_t>(raw);
-          if (input.compensate) value += input.base;  // monotonic rebase
+          value = static_cast<int64_t>(input.compensate
+                                           ? base + input.scale * raw
+                                           : raw);
         }
       }
       out->values[static_cast<size_t>(g) * query_->aggregates.size() + s] =

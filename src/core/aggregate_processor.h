@@ -9,7 +9,8 @@
 //  * the selection strategy adapts per batch from measured selectivity.
 //
 // Raw bit-packed aggregate columns are summed in the *encoded offset
-// domain* and compensated at the end (sum = offset_sum + base * count),
+// domain* and compensated at the end (a column stores
+// v = base + scale * offset, so sum = scale * offset_sum + base * count),
 // so the hot loops never materialize logical int64 values unless the
 // strategy requires it. Per-segment metadata proves the compensated sums
 // cannot overflow int64; otherwise processing falls back to a checked
@@ -66,9 +67,12 @@ class AggregateProcessor {
 
   // Processes rows [start, start + n) of the bound segment. `sel` is the
   // selection byte vector for the window (filter merged with liveness), or
-  // nullptr when every row qualifies. start must be batch-aligned
-  // (a multiple of kBatchRows) so packed streams can be rebased.
-  Status ProcessBatch(size_t start, size_t n, const uint8_t* sel);
+  // nullptr when every row qualifies; `selected` is its count of selected
+  // rows (CountSelected, which the scan already takes for its stats; n when
+  // sel is nullptr). start must be batch-aligned (a multiple of
+  // kBatchRows) so packed streams can be rebased.
+  Status ProcessBatch(size_t start, size_t n, const uint8_t* sel,
+                      size_t selected);
 
   // Per-segment aggregation output, indexed by local group id.
   struct SegmentResult {
@@ -130,6 +134,7 @@ class AggregateProcessor {
     int column_index = -1;                  // raw
     int bit_width = 0;
     int64_t base = 0;
+    uint64_t scale = 1;
     uint64_t max_offset = 0;
     int word_bytes = 8;    // decoded element width fed to the strategy
     bool compensate = false;

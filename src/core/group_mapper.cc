@@ -266,7 +266,9 @@ GroupValue GroupMapper::ValueOf(int group_id, int k) const {
   } else if (col.encoding() == Encoding::kDictionary) {
     value.int_value = col.int_dictionary()->value(ids[k]);
   } else {
-    value.int_value = col.base() + static_cast<int64_t>(ids[k]);
+    // Frame-of-reference ids are offsets: v = base + scale * offset.
+    value.int_value = static_cast<int64_t>(
+        static_cast<uint64_t>(col.base()) + col.scale() * uint64_t{ids[k]});
   }
   return value;
 }

@@ -215,13 +215,11 @@ Status BIPieScan::ScanMorselImpl(const Morsel& morsel,
     // The merged vector (filter results ANDed with the liveness mask) is the
     // last point before the kernels consume it; every byte must be canonical.
     BIPIE_DCHECK_SEL_CANONICAL(sel, view.num_rows);
-    if (sel != nullptr) {
-      stats->rows_selected += CountSelected(sel, view.num_rows);
-    } else {
-      stats->rows_selected += view.num_rows;
-    }
+    const size_t selected =
+        sel != nullptr ? CountSelected(sel, view.num_rows) : view.num_rows;
+    stats->rows_selected += selected;
     BIPIE_RETURN_NOT_OK(
-        processor.ProcessBatch(view.start, view.num_rows, sel));
+        processor.ProcessBatch(view.start, view.num_rows, sel, selected));
   }
 
   return FinishMorsel(processor, stats, out);

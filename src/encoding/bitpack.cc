@@ -52,6 +52,22 @@ void BitUnpackToWord(const uint8_t* src, size_t start, size_t n,
   }
 }
 
+void BitUnpackAffine(const uint8_t* src, size_t start, size_t n,
+                     int bit_width, int64_t base, uint64_t scale,
+                     int64_t* out) {
+  if (n == 0) return;
+  const IsaTier tier = CurrentIsaTier();
+  if (tier >= IsaTier::kAvx512) {
+    internal::BitUnpackAffineAvx512(src, start, n, bit_width, base, scale,
+                                    out);
+  } else if (tier >= IsaTier::kAvx2) {
+    internal::BitUnpackAffineAvx2(src, start, n, bit_width, base, scale, out);
+  } else {
+    internal::BitUnpackAffineScalar(src, start, n, bit_width, base, scale,
+                                    out);
+  }
+}
+
 void BitPackedSelect(const uint8_t* src, size_t start, size_t n,
                      int bit_width, const PackedRange& range, bool and_into,
                      uint8_t* sel) {

@@ -66,6 +66,14 @@ void BitUnpack(const uint8_t* src, size_t start, size_t n, int bit_width,
 void BitUnpackToWord(const uint8_t* src, size_t start, size_t n,
                      int bit_width, void* out, int word_bytes);
 
+// Unpacks values [start, start + n) as base + scale * v into int64 `out`,
+// in wrapping 64-bit arithmetic: the logical values of a scaled
+// frame-of-reference stream in one pass, the map applied in the 8-byte
+// store. Dispatches like BitUnpack.
+void BitUnpackAffine(const uint8_t* src, size_t start, size_t n,
+                     int bit_width, int64_t base, uint64_t scale,
+                     int64_t* out);
+
 // An inclusive range of packed values, optionally negated: v passes when
 // (lo <= v && v <= hi) != negate. Every comparison a filter can make on an
 // unsigned offset (=, <>, <, <=, >, >=, BETWEEN) is one such range.
@@ -98,6 +106,15 @@ void BitUnpackScalar(const uint8_t* src, size_t start, size_t n,
 }
 void BitUnpackScalarToWord(const uint8_t* src, size_t start, size_t n,
                            int bit_width, void* out, int word_bytes);
+inline void BitUnpackAffineScalar(const uint8_t* src, size_t start, size_t n,
+                                  int bit_width, int64_t base, uint64_t scale,
+                                  int64_t* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<int64_t>(
+        static_cast<uint64_t>(base) +
+        scale * BitUnpackOne(src, start + i, bit_width));
+  }
+}
 void BitPackedSelectScalar(const uint8_t* src, size_t start, size_t n,
                            int bit_width, const PackedRange& range,
                            bool and_into, uint8_t* sel);
@@ -125,6 +142,9 @@ BIPIE_ALWAYS_INLINE void SplitAtByteBoundary(const uint8_t* src, size_t start,
 // word_bytes in {1,2,4,8}.
 void BitUnpackAvx2(const uint8_t* src, size_t start, size_t n, int bit_width,
                    void* out, int word_bytes);
+void BitUnpackAffineAvx2(const uint8_t* src, size_t start, size_t n,
+                         int bit_width, int64_t base, uint64_t scale,
+                         int64_t* out);
 void BitPackedSelectAvx2(const uint8_t* src, size_t start, size_t n,
                          int bit_width, const PackedRange& range,
                          bool and_into, uint8_t* sel);
@@ -135,6 +155,9 @@ void BitPackedSelectAvx2(const uint8_t* src, size_t start, size_t n,
 bool VbmiAvailable();
 void BitUnpackAvx512(const uint8_t* src, size_t start, size_t n,
                      int bit_width, void* out, int word_bytes);
+void BitUnpackAffineAvx512(const uint8_t* src, size_t start, size_t n,
+                           int bit_width, int64_t base, uint64_t scale,
+                           int64_t* out);
 void BitPackedSelectAvx512(const uint8_t* src, size_t start, size_t n,
                            int bit_width, const PackedRange& range,
                            bool and_into, uint8_t* sel);

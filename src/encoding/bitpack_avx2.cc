@@ -12,8 +12,9 @@
 // Widths 58..64 can straddle 9 bytes and stay scalar.
 //
 // The kernels are written once per window shape and parameterized by a
-// sink: UnpackSink stores the lanes as words, SelectSink compares them
-// against a PackedRange and stores selection bytes.
+// sink: UnpackSink stores the lanes as words (8-byte words optionally
+// mapped to base + scale * v, the one-pass logical decode), SelectSink
+// compares them against a PackedRange and stores selection bytes.
 #include <immintrin.h>
 
 #include <cstring>
@@ -112,9 +113,38 @@ BIPIE_ALWAYS_INLINE __m256i PackDwordsToBytes(const __m256i v[4],
   return _mm256_permutevar8x32_epi32(bytes, fix);
 }
 
-template <int kWord>
+// The word-storing sink's default: 8-byte lanes are stored as unpacked.
+struct StoreAsIs {
+  BIPIE_ALWAYS_INLINE __m256i operator()(__m256i v) const { return v; }
+};
+
+// base + scale * v per 8-byte lane (scaled frame-of-reference decode);
+// kScaled = false skips the multiply when the scale is 1. AVX2 has no
+// 64-bit multiply: the low half of v * s is
+// lo(v) lo(s) + ((hi(v) lo(s) + lo(v) hi(s)) << 32).
+template <bool kScaled>
+struct AffineMap {
+  __m256i base;
+  __m256i scale;
+  __m256i scale_hi;  // scale >> 32
+
+  BIPIE_ALWAYS_INLINE __m256i operator()(__m256i v) const {
+    if constexpr (kScaled) {
+      const __m256i cross =
+          _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(v, 32), scale),
+                           _mm256_mul_epu32(v, scale_hi));
+      v = _mm256_add_epi64(_mm256_mul_epu32(v, scale),
+                           _mm256_slli_epi64(cross, 32));
+    }
+    return _mm256_add_epi64(v, base);
+  }
+};
+
+// Stores lanes as kWord-byte words; 8-byte words pass through `map` first.
+template <int kWord, typename Map = StoreAsIs>
 struct UnpackSink {
   uint8_t* out;  // word 0 of the body
+  Map map{};
 
   BIPIE_ALWAYS_INLINE void Dwords(size_t i, const __m256i v[4]) {
     uint8_t* dst = out + i * kWord;
@@ -135,10 +165,10 @@ struct UnpackSink {
       for (int g = 0; g < 4; ++g) {
         _mm256_storeu_si256(
             reinterpret_cast<__m256i*>(dst + 64 * g),
-            _mm256_cvtepu32_epi64(_mm256_castsi256_si128(v[g])));
+            map(_mm256_cvtepu32_epi64(_mm256_castsi256_si128(v[g]))));
         _mm256_storeu_si256(
             reinterpret_cast<__m256i*>(dst + 64 * g + 32),
-            _mm256_cvtepu32_epi64(_mm256_extracti128_si256(v[g], 1)));
+            map(_mm256_cvtepu32_epi64(_mm256_extracti128_si256(v[g], 1))));
       }
     }
   }
@@ -152,8 +182,8 @@ struct UnpackSink {
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
                           _mm256_blend_epi32(lo, hi, 0xF0));
     } else if constexpr (kWord == 8) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), a);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 32), b);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), map(a));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 32), map(b));
     } else {
       BIPIE_DCHECK(false);  // widths above 25 need at least 4-byte words
     }
@@ -239,6 +269,35 @@ void BitUnpackAvx2(const uint8_t* src, size_t start, size_t n, int bit_width,
       [&](size_t offset, size_t count) {
         BitUnpackScalarToWord(src, start + offset, count, bit_width,
                               dst + offset * word_bytes, word_bytes);
+      });
+}
+
+void BitUnpackAffineAvx2(const uint8_t* src, size_t start, size_t n,
+                         int bit_width, int64_t base, uint64_t scale,
+                         int64_t* out) {
+  if (bit_width > 57) {
+    BitUnpackAffineScalar(src, start, n, bit_width, base, scale, out);
+    return;
+  }
+  const __m256i vbase = _mm256_set1_epi64x(base);
+  const __m256i vscale = _mm256_set1_epi64x(static_cast<long long>(scale));
+  const __m256i vscale_hi =
+      _mm256_set1_epi64x(static_cast<long long>(scale >> 32));
+  SplitAtByteBoundary(
+      src, start, n, bit_width,
+      [&](const uint8_t* p, size_t offset, size_t count) -> size_t {
+        auto* o = reinterpret_cast<uint8_t*>(out + offset);
+        return scale == 1
+                   ? Body(p, count, bit_width,
+                          UnpackSink<8, AffineMap<false>>{
+                              o, {vbase, vscale, vscale_hi}})
+                   : Body(p, count, bit_width,
+                          UnpackSink<8, AffineMap<true>>{
+                              o, {vbase, vscale, vscale_hi}});
+      },
+      [&](size_t offset, size_t count) {
+        BitUnpackAffineScalar(src, start + offset, count, bit_width, base,
+                              scale, out + offset);
       });
 }
 

@@ -5,10 +5,12 @@
 // w <= 8, 16 dword windows for w <= 25, 8 qword windows for w <= 57. As in
 // the AVX2 tier, groups start on byte boundaries, so the tables are fixed
 // per width and the packed pointer advances by whole bytes, and the loops
-// are shared by a word-storing sink and a range-compare sink. The compare
-// sink turns its lane mask into selection bytes with VPMOVM2B, or keeps
-// the existing bytes under the mask (VMOVDQU8 zero-masking) when ANDing
-// into a selection.
+// are shared by a word-storing sink and a range-compare sink. The word
+// sink can map 8-byte lanes to base + scale * v before the store: the
+// one-pass logical decode of a frame-of-reference column. The compare sink
+// turns its lane mask into selection bytes with VPMOVM2B, or keeps the
+// existing bytes under the mask (VMOVDQU8 zero-masking) when ANDing into a
+// selection.
 //
 // VBMI is not part of the toolbox's kAvx512 tier contract (F+DQ+BW+VL):
 // it is probed at runtime, and without it (CPU or compiler) this tier runs
@@ -55,9 +57,29 @@ size_t Body(const uint8_t* p, size_t n, int w, Sink sink) {
   return i;
 }
 
-template <int kWord>
+// The word-storing sink's default: 8-byte lanes are stored as unpacked.
+struct StoreAsIs {
+  BIPIE_ALWAYS_INLINE __m512i operator()(__m512i v) const { return v; }
+};
+
+// base + scale * v per 8-byte lane (scaled frame-of-reference decode);
+// kScaled = false skips the multiply when the scale is 1.
+template <bool kScaled>
+struct AffineMap {
+  __m512i base;
+  __m512i scale;
+
+  BIPIE_ALWAYS_INLINE __m512i operator()(__m512i v) const {
+    if constexpr (kScaled) v = _mm512_mullo_epi64(v, scale);
+    return _mm512_add_epi64(v, base);
+  }
+};
+
+// Stores lanes as kWord-byte words; 8-byte words pass through `map` first.
+template <int kWord, typename Map = StoreAsIs>
 struct UnpackSink {
   uint8_t* out;  // word 0 of the body
+  Map map{};
 
   BIPIE_ALWAYS_INLINE void Bytes(size_t i, __m512i v) {
     uint8_t* dst = out + i * kWord;
@@ -78,9 +100,10 @@ struct UnpackSink {
         if constexpr (kWord == 4) {
           _mm512_storeu_si512(dst + 64 * q, _mm512_cvtepu8_epi32(x));
         } else {
-          _mm512_storeu_si512(dst + 128 * q, _mm512_cvtepu8_epi64(x));
-          _mm512_storeu_si512(dst + 128 * q + 64,
-                              _mm512_cvtepu8_epi64(_mm_unpackhi_epi64(x, x)));
+          _mm512_storeu_si512(dst + 128 * q, map(_mm512_cvtepu8_epi64(x)));
+          _mm512_storeu_si512(
+              dst + 128 * q + 64,
+              map(_mm512_cvtepu8_epi64(_mm_unpackhi_epi64(x, x))));
         }
       }
     }
@@ -94,10 +117,11 @@ struct UnpackSink {
     } else if constexpr (kWord == 4) {
       _mm512_storeu_si512(dst, v);
     } else if constexpr (kWord == 8) {
-      _mm512_storeu_si512(dst,
-                          _mm512_cvtepu32_epi64(_mm512_castsi512_si256(v)));
       _mm512_storeu_si512(
-          dst + 64, _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(v, 1)));
+          dst, map(_mm512_cvtepu32_epi64(_mm512_castsi512_si256(v))));
+      _mm512_storeu_si512(
+          dst + 64,
+          map(_mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(v, 1))));
     } else {
       BIPIE_DCHECK(false);  // widths above 8 need at least 2-byte words
     }
@@ -109,7 +133,7 @@ struct UnpackSink {
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
                           _mm512_cvtepi64_epi32(v));
     } else if constexpr (kWord == 8) {
-      _mm512_storeu_si512(dst, v);
+      _mm512_storeu_si512(dst, map(v));
     } else {
       BIPIE_DCHECK(false);  // widths above 25 need at least 4-byte words
     }
@@ -209,6 +233,35 @@ void BitUnpackAvx512(const uint8_t* src, size_t start, size_t n,
   }
 #endif
   BitUnpackAvx2(src, start, n, bit_width, out, word_bytes);
+}
+
+void BitUnpackAffineAvx512(const uint8_t* src, size_t start, size_t n,
+                           int bit_width, int64_t base, uint64_t scale,
+                           int64_t* out) {
+#if defined(__AVX512VBMI__)
+  if (VbmiAvailable() && bit_width <= 57) {
+    const __m512i vbase = _mm512_set1_epi64(base);
+    const __m512i vscale = _mm512_set1_epi64(static_cast<long long>(scale));
+    SplitAtByteBoundary(
+        src, start, n, bit_width,
+        [&](const uint8_t* p, size_t offset, size_t count) -> size_t {
+          auto* o = reinterpret_cast<uint8_t*>(out + offset);
+          return scale == 1
+                     ? Body(p, count, bit_width,
+                            UnpackSink<8, AffineMap<false>>{
+                                o, {vbase, vscale}})
+                     : Body(p, count, bit_width,
+                            UnpackSink<8, AffineMap<true>>{
+                                o, {vbase, vscale}});
+        },
+        [&](size_t offset, size_t count) {
+          BitUnpackAffineScalar(src, start + offset, count, bit_width, base,
+                                scale, out + offset);
+        });
+    return;
+  }
+#endif
+  BitUnpackAffineAvx2(src, start, n, bit_width, base, scale, out);
 }
 
 void BitPackedSelectAvx512(const uint8_t* src, size_t start, size_t n,

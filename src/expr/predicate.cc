@@ -148,9 +148,16 @@ namespace {
 // Outcome of rebasing a literal into a column's unsigned offset domain.
 enum class RebasedVerdict { kAllRows, kNoRows, kCompare };
 
-RebasedVerdict RebaseLiteral(CompareOp op, int64_t literal, int64_t base,
-                             int64_t max, uint64_t* rebased) {
-  // Offsets span [0, max - base].
+// Rebases a literal into a frame-of-reference column's offset domain,
+// v = base + scale * o, keeping the operator. Offsets span
+// [0, (max - base) / scale]. A literal between two grid points rounds
+// toward the rows it admits: the bound of >= and the exclusive bound of <
+// round up, the bound of <= and the exclusive bound of > round down; an
+// off-grid = matches no row and an off-grid <> every row.
+RebasedVerdict RebaseLiteral(CompareOp op, int64_t literal,
+                             const EncodedColumn& col, uint64_t* rebased) {
+  const int64_t base = col.base();
+  const int64_t max = col.meta().max;
   if (literal < base) {
     switch (op) {
       case CompareOp::kLt:
@@ -172,12 +179,28 @@ RebasedVerdict RebaseLiteral(CompareOp op, int64_t literal, int64_t base,
         return RebasedVerdict::kNoRows;
     }
   }
-  *rebased = static_cast<uint64_t>(literal) - static_cast<uint64_t>(base);
-  return RebasedVerdict::kCompare;
+  const uint64_t delta =
+      static_cast<uint64_t>(literal) - static_cast<uint64_t>(base);
+  const bool on_grid = delta % col.scale() == 0;
+  *rebased = delta / col.scale();
+  switch (op) {
+    case CompareOp::kEq:
+      return on_grid ? RebasedVerdict::kCompare : RebasedVerdict::kNoRows;
+    case CompareOp::kNe:
+      return on_grid ? RebasedVerdict::kCompare : RebasedVerdict::kAllRows;
+    case CompareOp::kLt:
+    case CompareOp::kGe:
+      // Round up; still a stored offset, since literal <= max.
+      *rebased += on_grid ? 0 : 1;
+      return RebasedVerdict::kCompare;
+    default:
+      return RebasedVerdict::kCompare;
+  }
 }
 
 // BETWEEN lo AND hi intersected with the column domain [min, max] and
-// rebased to inclusive offsets.
+// rebased to inclusive offsets: the lower end rounds up to the grid, the
+// upper end down, and ends with no grid point between them match no row.
 RebasedVerdict RebaseBetween(int64_t lo, int64_t hi, const EncodedColumn& col,
                              uint64_t* lo_off, uint64_t* hi_off) {
   if (hi < col.meta().min || lo > col.meta().max || lo > hi) {
@@ -187,9 +210,14 @@ RebasedVerdict RebaseBetween(int64_t lo, int64_t hi, const EncodedColumn& col,
     return RebasedVerdict::kAllRows;
   }
   const uint64_t base = static_cast<uint64_t>(col.base());
-  *lo_off = static_cast<uint64_t>(std::max(lo, col.meta().min)) - base;
-  *hi_off = static_cast<uint64_t>(std::min(hi, col.meta().max)) - base;
-  return RebasedVerdict::kCompare;
+  const uint64_t lo_delta =
+      static_cast<uint64_t>(std::max(lo, col.meta().min)) - base;
+  const uint64_t hi_delta =
+      static_cast<uint64_t>(std::min(hi, col.meta().max)) - base;
+  *lo_off = lo_delta / col.scale() + (lo_delta % col.scale() != 0 ? 1 : 0);
+  *hi_off = hi_delta / col.scale();
+  return *lo_off <= *hi_off ? RebasedVerdict::kCompare
+                            : RebasedVerdict::kNoRows;
 }
 
 // The predicate as one inclusive range of a column's unsigned offsets
@@ -208,8 +236,7 @@ RebasedVerdict RebaseToPackedRange(CompareOp op, int64_t literal,
     return RebasedVerdict::kCompare;
   }
   uint64_t r = 0;
-  const RebasedVerdict v =
-      RebaseLiteral(op, literal, col.base(), col.meta().max, &r);
+  const RebasedVerdict v = RebaseLiteral(op, literal, col, &r);
   if (v != RebasedVerdict::kCompare) return v;
   if (r > top) {  // above every offset the stream can hold
     return op == CompareOp::kNe || op == CompareOp::kLt ||
@@ -315,8 +342,7 @@ Status ColumnPredicate::EvaluateEncoded(const EncodedColumn& col,
         const RebasedVerdict verdict =
             op_ == CompareOp::kBetween
                 ? RebaseBetween(literal_, literal2_, col, &lo, &hi)
-                : RebaseLiteral(op_, literal_, col.base(), col.meta().max,
-                                &lo);
+                : RebaseLiteral(op_, literal_, col, &lo);
         if (verdict != RebasedVerdict::kCompare) {
           std::memset(sel_out,
                       verdict == RebasedVerdict::kAllRows ? kRowSelected

@@ -7,7 +7,8 @@
 //
 // Predicates are evaluated *in the encoded domain* where possible:
 //  * bit-packed columns compare offsets against the literal rebased by the
-//    frame-of-reference, as one inclusive offset range, inside the unpack
+//    frame-of-reference (base and scale; a literal off the scale's grid
+//    rounds to it), as one inclusive offset range, inside the unpack
 //    kernel's registers (BitPackedSelect): no decode, no unpack scratch;
 //  * dictionary columns precompute a per-id verdict table once and map the
 //    id stream through it;

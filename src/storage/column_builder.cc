@@ -1,6 +1,7 @@
 #include "storage/column_builder.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string_view>
 #include <unordered_set>
 
@@ -25,6 +26,7 @@ struct IntStats {
   int64_t min = 0;
   int64_t max = 0;
   bool sorted = true;
+  uint64_t scale = 1;  // frame-of-reference offsets are multiples of this
   int for_bits = 1;
   size_t for_bytes = 0;
   size_t run_count = 1;
@@ -33,6 +35,7 @@ struct IntStats {
   int64_t dmax = 0;
   int delta_bits = 1;
   size_t delta_bytes = 0;
+  bool delta_feasible = true;  // every delta fits int64
   bool dict_feasible = false;
   size_t distinct = 0;
   int dict_bits = 64;
@@ -47,9 +50,21 @@ IntStats ComputeIntStats(const std::vector<int64_t>& values) {
       std::minmax_element(values.begin(), values.end());
   st.min = *min_it;
   st.max = *max_it;
+  // The greatest common divisor of the offsets v - min, 1 when they share
+  // none (or are all 0): frame-of-reference columns store offset / scale.
+  // A random column exits after a few values; a scaled one pays one
+  // remainder per value.
+  uint64_t gcd = 0;
+  for (int64_t v : values) {
+    const uint64_t off =
+        static_cast<uint64_t>(v) - static_cast<uint64_t>(st.min);
+    if (gcd == 0 ? off != 0 : off % gcd != 0) gcd = std::gcd(gcd, off);
+    if (gcd == 1) break;
+  }
+  st.scale = gcd == 0 ? 1 : gcd;
   const uint64_t spread =
       static_cast<uint64_t>(st.max) - static_cast<uint64_t>(st.min);
-  st.for_bits = BitsRequired(spread);
+  st.for_bits = BitsRequired(spread / st.scale);
   st.for_bytes = BitPackedBytes(st.n, st.for_bits);
 
   st.run_count = 1;
@@ -59,13 +74,11 @@ IntStats ComputeIntStats(const std::vector<int64_t>& values) {
   }
   st.rle_bytes = st.run_count * sizeof(RleRun);
 
-  if (st.n > 1) {
-    st.dmin = st.dmax = values[1] - values[0];
-    for (size_t i = 2; i < st.n; ++i) {
-      const int64_t d = values[i] - values[i - 1];
-      st.dmin = std::min(st.dmin, d);
-      st.dmax = std::max(st.dmax, d);
-    }
+  for (size_t i = 1; i < st.n && st.delta_feasible; ++i) {
+    int64_t d = 0;
+    st.delta_feasible = !__builtin_sub_overflow(values[i], values[i - 1], &d);
+    st.dmin = i == 1 ? d : std::min(st.dmin, d);
+    st.dmax = i == 1 ? d : std::max(st.dmax, d);
   }
   st.delta_bits = BitsRequired(static_cast<uint64_t>(st.dmax) -
                                static_cast<uint64_t>(st.dmin));
@@ -94,7 +107,8 @@ Encoding AutoPick(const IntStats& st) {
   if (st.rle_bytes * 2 < std::min(st.for_bytes, st.dict_bytes)) {
     return Encoding::kRle;
   }
-  if (st.delta_bytes * 2 < std::min(st.for_bytes, st.dict_bytes)) {
+  if (st.delta_feasible &&
+      st.delta_bytes * 2 < std::min(st.for_bytes, st.dict_bytes)) {
     // Delta must win big: it decodes sequentially and is the least
     // useful representation for vectorized processing.
     return Encoding::kDelta;
@@ -162,6 +176,7 @@ EncodedColumn ColumnBuilder::FinishInt() {
       pick = Encoding::kRle;
       break;
     case EncodingChoice::kDelta:
+      BIPIE_DCHECK(st.delta_feasible);
       pick = Encoding::kDelta;
       break;
     case EncodingChoice::kByteSliced:
@@ -173,16 +188,26 @@ EncodedColumn ColumnBuilder::FinishInt() {
       break;
   }
 
+  // Frame-of-reference offsets (v - min) / scale, for both FOR encodings.
+  auto for_offsets = [&] {
+    col.base_ = col.meta_.min;
+    col.scale_ = st.scale;
+    col.bit_width_ = for_bits;
+    std::vector<uint64_t> offsets(n);
+    for (size_t i = 0; i < n; ++i) {
+      offsets[i] = static_cast<uint64_t>(int_values_[i]) -
+                   static_cast<uint64_t>(col.base_);
+    }
+    if (st.scale != 1) {
+      for (uint64_t& off : offsets) off /= st.scale;
+    }
+    return offsets;
+  };
+
   switch (pick) {
     case Encoding::kBitPacked: {
       col.encoding_ = Encoding::kBitPacked;
-      col.base_ = col.meta_.min;
-      col.bit_width_ = for_bits;
-      std::vector<uint64_t> offsets(n);
-      for (size_t i = 0; i < n; ++i) {
-        offsets[i] = static_cast<uint64_t>(int_values_[i]) -
-                     static_cast<uint64_t>(col.base_);
-      }
+      const std::vector<uint64_t> offsets = for_offsets();
       col.packed_.Resize(BitPackedBytes(n, for_bits) + 8);
       BitPack(offsets.data(), n, for_bits, col.packed_.data());
       break;
@@ -204,13 +229,7 @@ EncodedColumn ColumnBuilder::FinishInt() {
       // per value — for early-exit predicate evaluation, a call the
       // strategy layer makes per workload, not the builder per column).
       col.encoding_ = Encoding::kByteSliced;
-      col.base_ = col.meta_.min;
-      col.bit_width_ = for_bits;
-      std::vector<uint64_t> offsets(n);
-      for (size_t i = 0; i < n; ++i) {
-        offsets[i] = static_cast<uint64_t>(int_values_[i]) -
-                     static_cast<uint64_t>(col.base_);
-      }
+      const std::vector<uint64_t> offsets = for_offsets();
       col.packed_.Resize(ByteSliceBytes(n, for_bits));
       ByteSlicePack(offsets.data(), n, for_bits, col.packed_.data());
       break;
@@ -299,7 +318,7 @@ EncodingAdvice ColumnBuilder::Advise(const cost::CostModel& model) const {
   add(Encoding::kBitPacked, true, st.for_bits, st.for_bytes, 1);
   add(Encoding::kDictionary, st.dict_feasible, st.dict_bits, st.dict_bytes, 1);
   add(Encoding::kRle, true, 64, st.rle_bytes, st.run_count);
-  add(Encoding::kDelta, true, st.delta_bits, st.delta_bytes, 1);
+  add(Encoding::kDelta, st.delta_feasible, st.delta_bits, st.delta_bytes, 1);
   add(Encoding::kByteSliced, true, st.for_bits,
       ByteSliceBytes(st.n, st.for_bits), 1);
 

@@ -56,10 +56,13 @@ uint64_t EncodedColumn::id_bound() const {
       return type_ == ColumnType::kString ? str_dict_->size()
                                           : int_dict_->size();
     case Encoding::kBitPacked:
-    case Encoding::kByteSliced:
-      // Offsets span [0, max - base]; metadata gives the exact bound.
-      return static_cast<uint64_t>(meta_.max) -
-             static_cast<uint64_t>(base_) + 1;
+    case Encoding::kByteSliced: {
+      // Offsets span [0, (max - base) / scale]; metadata gives the exact
+      // bound.
+      const uint64_t spread =
+          static_cast<uint64_t>(meta_.max) - static_cast<uint64_t>(base_);
+      return spread / scale_ + 1;
+    }
     case Encoding::kRle:
     case Encoding::kDelta:
       return 0;  // not id-addressable
@@ -85,21 +88,17 @@ void EncodedColumn::DecodeInt64(size_t start, size_t n, int64_t* out) const {
   BIPIE_DCHECK(start + n <= meta_.num_rows);
   switch (encoding_) {
     case Encoding::kBitPacked:
-    case Encoding::kByteSliced: {
-      if (encoding_ == Encoding::kByteSliced) {
-        ByteSliceAssemble(packed_.data(), meta_.num_rows, bit_width_, start,
-                          n, out, 8);
-      } else {
-        BitUnpackToWord(packed_.data(), start, n, bit_width_, out, 8);
-      }
-      if (base_ != 0) {
-        for (size_t i = 0; i < n; ++i) {
-          out[i] = static_cast<int64_t>(static_cast<uint64_t>(out[i]) +
-                                        static_cast<uint64_t>(base_));
-        }
+      BitUnpackAffine(packed_.data(), start, n, bit_width_, base_, scale_,
+                      out);
+      return;
+    case Encoding::kByteSliced:
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = static_cast<int64_t>(
+            static_cast<uint64_t>(base_) +
+            scale_ * ByteSliceAssembleOne(packed_.data(), meta_.num_rows,
+                                          bit_width_, start + i));
       }
       return;
-    }
     case Encoding::kDictionary: {
       BitUnpackToWord(packed_.data(), start, n, bit_width_, out, 8);
       if (type_ == ColumnType::kInt64) {
@@ -160,8 +159,31 @@ Status EncodedColumn::Validate() const {
   if (type_ == ColumnType::kString && encoding_ != Encoding::kDictionary) {
     return Status::DataLoss("string column must be dictionary encoded");
   }
+  // id_bound() divides by the scale, even on an empty column.
+  const bool frame_of_reference = encoding_ == Encoding::kBitPacked ||
+                                  encoding_ == Encoding::kByteSliced;
+  if (scale_ == 0) {
+    return Status::DataLoss("frame-of-reference scale is zero");
+  }
+  if (!frame_of_reference && scale_ != 1) {
+    return Status::DataLoss("scale != 1 on a non-frame-of-reference column");
+  }
   const size_t n = meta_.num_rows;
   if (n == 0) return Status::OK();  // nothing will ever be decoded
+  // Frame-of-reference offsets span [0, spread / scale]; the spread is an
+  // exact multiple of the scale because max is itself a stored value.
+  const uint64_t spread =
+      static_cast<uint64_t>(meta_.max) - static_cast<uint64_t>(base_);
+  if (frame_of_reference) {
+    if (base_ != meta_.min) {
+      // The builder always uses min as the frame-of-reference base;
+      // id_bound() and the overflow proofs assume it.
+      return Status::DataLoss("frame-of-reference base != metadata min");
+    }
+    if (spread % scale_ != 0) {
+      return Status::DataLoss("metadata spread is not a multiple of scale");
+    }
+  }
 
   switch (encoding_) {
     case Encoding::kBitPacked: {
@@ -169,21 +191,14 @@ Status EncodedColumn::Validate() const {
         return Status::DataLoss("bit width out of [1, 64]: " +
                                 std::to_string(bit_width_));
       }
-      if (base_ != meta_.min) {
-        // The builder always uses min as the frame-of-reference base;
-        // id_bound() and the overflow proofs assume it.
-        return Status::DataLoss("frame-of-reference base != metadata min");
-      }
       if (packed_.size() < BitPackedBytes(n, bit_width_)) {
         return Status::DataLoss("bit-packed stream shorter than row count");
       }
       // Every offset must stay within the metadata spread: offsets above it
       // would decode outside [min, max], breaking segment elimination and
       // the id_bound() the aggregation kernels size their arrays with.
-      const uint64_t spread = static_cast<uint64_t>(meta_.max) -
-                              static_cast<uint64_t>(base_);
       const uint64_t max_offset = MaxPackedValue(packed_, n, bit_width_);
-      if (max_offset > spread) {
+      if (max_offset > spread / scale_) {
         return Status::DataLoss("bit-packed offset exceeds metadata spread");
       }
       return Status::OK();
@@ -255,9 +270,6 @@ Status EncodedColumn::Validate() const {
         return Status::DataLoss("bit width out of [1, 64]: " +
                                 std::to_string(bit_width_));
       }
-      if (base_ != meta_.min) {
-        return Status::DataLoss("frame-of-reference base != metadata min");
-      }
       if (packed_.size() < ByteSliceBytes(n, bit_width_)) {
         return Status::DataLoss("byte planes shorter than row count");
       }
@@ -278,8 +290,7 @@ Status EncodedColumn::Validate() const {
       }
       // Assembled offsets must stay within the metadata spread, same as the
       // bit-packed tier (id_bound() and segment elimination rely on it).
-      const uint64_t spread = static_cast<uint64_t>(meta_.max) -
-                              static_cast<uint64_t>(base_);
+      const uint64_t max_offset = spread / scale_;
       AlignedBuffer scratch(kBatchRows * 8);
       uint64_t* words = scratch.data_as<uint64_t>();
       for (size_t start = 0; start < n; start += kBatchRows) {
@@ -287,7 +298,7 @@ Status EncodedColumn::Validate() const {
         ByteSliceAssemble(packed_.data(), n, bit_width_, start, chunk, words,
                           8);
         for (size_t k = 0; k < chunk; ++k) {
-          if (words[k] > spread) {
+          if (words[k] > max_offset) {
             return Status::DataLoss(
                 "byte-sliced offset exceeds metadata spread");
           }

@@ -1,13 +1,17 @@
 // An immutable, encoded column of one segment.
 //
 // All three MemSQL encodings from §2.1 are supported. Integer columns use
-// frame-of-reference bit packing (base + packed unsigned offsets), optionally
-// behind a dictionary; string columns are always dictionary encoded. Every
-// column carries min/max metadata used for segment elimination and overflow
-// proofs (§2.1). kByteSliced (DESIGN.md §16) stores the same
-// frame-of-reference offsets as ceil(bit_width/8) byte planes inside
-// packed_ (plane-major, stride = num_rows, MSB plane first) so predicates
-// can evaluate plane-at-a-time with early exit.
+// frame-of-reference bit packing, optionally behind a dictionary; string
+// columns are always dictionary encoded. A frame-of-reference value is
+// v = base + scale * offset: base is the segment minimum and scale the
+// greatest common divisor of the offsets v - base (1 when they share none),
+// so values on a coarser grid — prices in cents that are whole dollars,
+// quantities stored as hundredths — pack at the width of their distinct
+// steps (DESIGN.md §19). Every column carries min/max metadata used for
+// segment elimination and overflow proofs (§2.1). kByteSliced (DESIGN.md
+// §16) stores the same frame-of-reference offsets as ceil(bit_width/8)
+// byte planes inside packed_ (plane-major, stride = num_rows, MSB plane
+// first) so predicates can evaluate plane-at-a-time with early exit.
 #ifndef BIPIE_STORAGE_ENCODED_COLUMN_H_
 #define BIPIE_STORAGE_ENCODED_COLUMN_H_
 
@@ -44,12 +48,16 @@ class EncodedColumn {
 
   // Width of each packed id/offset in bits.
   int bit_width() const { return bit_width_; }
-  // Frame-of-reference base added to every unpacked offset (kBitPacked).
+  // Frame-of-reference map of kBitPacked / kByteSliced: the logical value
+  // of offset o is base() + scale() * o. scale() is 1 for every other
+  // encoding.
   int64_t base() const { return base_; }
+  uint64_t scale() const { return scale_; }
   // The raw packed stream. Padded per AlignedBuffer rules.
   const uint8_t* packed_data() const { return packed_.data(); }
 
-  // Exclusive upper bound on packed ids/offsets, from metadata. For a
+  // Exclusive upper bound on packed ids/offsets, from metadata
+  // ((max - base) / scale + 1 for frame-of-reference columns). For a
   // dictionary column this is the dictionary size — the group-count bound
   // the Aggregate Processor uses (§3).
   uint64_t id_bound() const;
@@ -77,7 +85,9 @@ class EncodedColumn {
   // Deep decode validation: verifies every invariant the kernels trust
   // before touching this column — enum discriminants in range, bit_width in
   // [1, 64], packed_ sized for num_rows values plus AlignedBuffer padding,
-  // every dictionary code < dictionary size, dictionary values within the
+  // a frame-of-reference scale >= 1 that divides the metadata spread with
+  // every scale * offset <= max - base (scale 1 on other encodings), every
+  // dictionary code < dictionary size, dictionary values within the
   // [min, max] metadata (which drives segment elimination and overflow
   // proofs), RLE run counts summing to num_rows without overflow, and the
   // delta stream rolling forward to exactly the stored checkpoints with no
@@ -108,6 +118,7 @@ class EncodedColumn {
   ColumnMeta meta_;
 
   int64_t base_ = 0;
+  uint64_t scale_ = 1;
   int bit_width_ = 1;
   AlignedBuffer packed_;
 

@@ -34,6 +34,7 @@ IoCounters& Counters() {
 
 constexpr char kMagicV1[8] = {'B', 'I', 'P', 'I', 'E', 'T', 'B', '1'};
 constexpr char kMagicV2[8] = {'B', 'I', 'P', 'I', 'E', 'T', 'B', '2'};
+constexpr char kMagicV3[8] = {'B', 'I', 'P', 'I', 'E', 'T', 'B', '3'};
 constexpr char kMagicPrefix[7] = {'B', 'I', 'P', 'I', 'E', 'T', 'B'};
 
 constexpr uint32_t kMaxColumns = 4096;
@@ -46,7 +47,7 @@ constexpr uint8_t kMaxEncoding = static_cast<uint8_t>(Encoding::kByteSliced);
 constexpr uint8_t kMaxEncodingChoice =
     static_cast<uint8_t>(EncodingChoice::kByteSliced);
 
-// Writes straight to the file (v1 layout and the v2 outer framing).
+// Writes straight to the file (v1 layout and the v2/v3 outer framing).
 class FileWriter {
  public:
   explicit FileWriter(std::FILE* f) : f_(f) {}
@@ -76,21 +77,14 @@ class FileWriter {
   bool ok_ = true;
 };
 
-// Serializes into memory; v2 checksums and frames whole blocks, so every
+// Serializes into memory; v2/v3 checksum and frame whole blocks, so every
 // block is materialized before it is written.
 class BufWriter {
  public:
-  // GCC 12 falsely models the first grow of an empty vector as writing past
-  // a zero-sized region here; the suppression covers that one diagnostic.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wstringop-overflow"
   void Bytes(const void* data, size_t n) {
-    if (n == 0) return;
-    const size_t old_size = out_.size();
-    out_.resize(old_size + n);
-    std::memcpy(out_.data() + old_size, data, n);
+    const auto* bytes = static_cast<const uint8_t*>(data);
+    out_.insert(out_.end(), bytes, bytes + n);
   }
-#pragma GCC diagnostic pop
   void U8(uint8_t v) { Bytes(&v, 1); }
   void U32(uint32_t v) { Bytes(&v, 4); }
   void U64(uint64_t v) { Bytes(&v, 8); }
@@ -113,7 +107,7 @@ class BufWriter {
 // and rejecting it *before* allocating is what closes the pre-validation
 // allocation DoS.
 //
-// v2 block framing is streamed: BeginBlock reads the frame (length and
+// v2/v3 block framing is streamed: BeginBlock reads the frame (length and
 // stored CRC32C) and narrows remaining() to the block payload, every read
 // inside the block folds into a running CRC, and EndBlock checks the block
 // was consumed exactly and the checksum matches. Payload bytes land
@@ -176,7 +170,7 @@ class Reader {
     return in_block_ ? block_remaining_ : remaining_;
   }
 
-  // Enters a v2 block: reads the frame and scopes subsequent reads to the
+  // Enters a v2/v3 block: reads the frame and scopes subsequent reads to the
   // claimed payload, which is itself bounded by the physical bytes left.
   Status BeginBlock(bool verify_checksum, const char* what) {
     uint64_t len = 0;
@@ -244,7 +238,7 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-// Writes one framed v2 block: length, checksum, payload.
+// Writes one framed v2/v3 block: length, checksum, payload.
 void WriteBlock(FileWriter* fw, const BufWriter& block) {
   fw->U64(block.size());
   fw->U32(Crc32c(block.data(), block.size()));
@@ -253,16 +247,19 @@ void WriteBlock(FileWriter* fw, const BufWriter& block) {
 
 }  // namespace
 
-// Grants table_io access to EncodedColumn's encoded representation.
+// Grants table_io access to EncodedColumn's encoded representation. The
+// column layout of format `version`: v3 adds the frame-of-reference scale
+// after the base; v1 and v2 columns load with scale 1.
 struct ColumnSerde {
   template <typename W>
-  static void Write(W* w, const EncodedColumn& col) {
+  static void Write(W* w, const EncodedColumn& col, int version) {
     w->U8(static_cast<uint8_t>(col.type_));
     w->U8(static_cast<uint8_t>(col.encoding_));
     w->I64(col.meta_.min);
     w->I64(col.meta_.max);
     w->U64(col.meta_.num_rows);
     w->I64(col.base_);
+    if (version >= 3) w->U64(col.scale_);
     w->U8(static_cast<uint8_t>(col.bit_width_));
     w->U64(col.packed_.size());
     w->Bytes(col.packed_.data(), col.packed_.size());
@@ -286,7 +283,7 @@ struct ColumnSerde {
     for (int64_t c : col.checkpoints_) w->I64(c);
   }
 
-  static Status Read(Reader* r, EncodedColumn* col) {
+  static Status Read(Reader* r, EncodedColumn* col, int version) {
     uint8_t type = 0, encoding = 0, bit_width = 0, has_dict = 0;
     uint64_t packed_size = 0, num_rows = 0;
     if (!r->U8(&type) || !r->U8(&encoding)) {
@@ -299,7 +296,8 @@ struct ColumnSerde {
       return Status::DataLoss("column encoding discriminant out of range");
     }
     if (!r->I64(&col->meta_.min) || !r->I64(&col->meta_.max) ||
-        !r->U64(&num_rows) || !r->I64(&col->base_) || !r->U8(&bit_width) ||
+        !r->U64(&num_rows) || !r->I64(&col->base_) ||
+        (version >= 3 && !r->U64(&col->scale_)) || !r->U8(&bit_width) ||
         !r->U64(&packed_size)) {
       return Status::DataLoss("truncated column metadata");
     }
@@ -401,16 +399,18 @@ Status SaveTableV1(const Table& table, std::FILE* f, const std::string& path) {
     w.U8(alive != nullptr ? 1 : 0);
     if (alive != nullptr) w.Bytes(alive, segment.num_rows());
     for (size_t c = 0; c < segment.num_columns(); ++c) {
-      ColumnSerde::Write(&w, segment.column(c));
+      ColumnSerde::Write(&w, segment.column(c), 1);
     }
   }
   if (!w.ok()) return Status::Internal("write failed: " + path);
   return Status::OK();
 }
 
-Status SaveTableV2(const Table& table, std::FILE* f, const std::string& path) {
+// The framed, checksummed formats: v2, and v3 with per-column scales.
+Status SaveTableFramed(const Table& table, std::FILE* f,
+                       const std::string& path, int version) {
   FileWriter w(f);
-  w.Bytes(kMagicV2, sizeof(kMagicV2));
+  w.Bytes(version == 2 ? kMagicV2 : kMagicV3, sizeof(kMagicV2));
 
   BufWriter header;
   header.U32(static_cast<uint32_t>(table.num_columns()));
@@ -432,7 +432,7 @@ Status SaveTableV2(const Table& table, std::FILE* f, const std::string& path) {
     WriteBlock(&w, seg);
     for (size_t c = 0; c < segment.num_columns(); ++c) {
       BufWriter col;
-      ColumnSerde::Write(&col, segment.column(c));
+      ColumnSerde::Write(&col, segment.column(c), version);
       WriteBlock(&w, col);
     }
   }
@@ -444,8 +444,8 @@ Status SaveTableV2(const Table& table, std::FILE* f, const std::string& path) {
 // Readers
 // ---------------------------------------------------------------------------
 
-// Reads the schema fields shared by both formats from `r` (for v2, `r` is
-// the in-memory header block).
+// Reads the schema fields shared by every format from `r` (for v2/v3, `r`
+// is scoped to the header block).
 Status ReadSchema(Reader* r, Schema* schema) {
   uint32_t num_columns = 0;
   if (!r->U32(&num_columns)) return Status::DataLoss("truncated schema");
@@ -510,7 +510,7 @@ Result<Table> LoadTableV1(Reader* r) {
     }
     std::vector<EncodedColumn> columns(num_columns);
     for (uint32_t c = 0; c < num_columns; ++c) {
-      BIPIE_RETURN_NOT_OK(ColumnSerde::Read(r, &columns[c]));
+      BIPIE_RETURN_NOT_OK(ColumnSerde::Read(r, &columns[c], 1));
       if (columns[c].num_rows() != num_rows) {
         return Status::DataLoss("column row count disagrees with segment");
       }
@@ -525,7 +525,8 @@ Result<Table> LoadTableV1(Reader* r) {
   return table;
 }
 
-Result<Table> LoadTableV2(Reader* r, const LoadOptions& options) {
+Result<Table> LoadTableFramed(Reader* r, const LoadOptions& options,
+                              int version) {
   const bool verify = options.verify_checksums;
   BIPIE_RETURN_NOT_OK(r->BeginBlock(verify, "header"));
   Schema schema;
@@ -563,7 +564,7 @@ Result<Table> LoadTableV2(Reader* r, const LoadOptions& options) {
     std::vector<EncodedColumn> columns(num_columns);
     for (uint32_t c = 0; c < num_columns; ++c) {
       BIPIE_RETURN_NOT_OK(r->BeginBlock(verify, "column"));
-      BIPIE_RETURN_NOT_OK(ColumnSerde::Read(r, &columns[c]));
+      BIPIE_RETURN_NOT_OK(ColumnSerde::Read(r, &columns[c], version));
       BIPIE_RETURN_NOT_OK(r->EndBlock("column"));
       if (columns[c].num_rows() != num_rows) {
         return Status::DataLoss("column row count disagrees with segment");
@@ -585,17 +586,31 @@ namespace {
 
 Status SaveTableImpl(const Table& table, const std::string& path,
                      const SaveOptions& options, uint64_t* bytes_written) {
-  if (options.format_version != 1 && options.format_version != 2) {
+  const int version = options.format_version;
+  if (version < 1 || version > 3) {
     return Status::NotSupported("unknown table format version " +
-                                std::to_string(options.format_version));
+                                std::to_string(version));
+  }
+  if (version < 3) {
+    // Legacy layouts have no scale field: refuse before touching the file.
+    for (size_t s = 0; s < table.num_segments(); ++s) {
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        if (table.segment(s).column(c).scale() != 1) {
+          return Status::NotSupported(
+              "table format v" + std::to_string(version) +
+              " cannot store a scaled frame-of-reference column (" +
+              table.schema()[c].name + "); save as v3");
+        }
+      }
+    }
   }
   FilePtr f(std::fopen(path.c_str(), "wb"));
   if (f == nullptr) {
     return Status::InvalidArgument("cannot open for writing: " + path);
   }
-  Status status = options.format_version == 1
+  Status status = version == 1
                       ? SaveTableV1(table, f.get(), path)
-                      : SaveTableV2(table, f.get(), path);
+                      : SaveTableFramed(table, f.get(), path, version);
   if (status.ok()) {
     const long pos = std::ftell(f.get());
     if (pos > 0) *bytes_written = static_cast<uint64_t>(pos);
@@ -633,8 +648,10 @@ Result<Table> LoadTableImpl(const std::string& path,
     return Status::InvalidArgument("not a bipie table file: " + path);
   }
   Result<Table> loaded = Status::Internal("unreachable");
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
-    loaded = LoadTableV2(&r, options);
+  if (std::memcmp(magic, kMagicV3, sizeof(kMagicV3)) == 0) {
+    loaded = LoadTableFramed(&r, options, 3);
+  } else if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
+    loaded = LoadTableFramed(&r, options, 2);
   } else if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
     if (options.strict) {
       return Status::NotSupported(

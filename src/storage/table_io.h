@@ -10,22 +10,26 @@
 // The file is an untrusted-data boundary: the scan kernels trust bit
 // widths, dictionary sizes and min/max metadata absolutely, so everything
 // crossing this boundary is (a) bounded against the physical file size
-// before any allocation, (b) checksum-verified (format v2), and (c) run
-// through the deep decode validation pass (Table::Validate) before the
-// caller ever sees it. A corrupt, truncated or adversarial file yields a
-// structured Status — kDataLoss for untrustworthy bytes — never a crash.
+// before any allocation, (b) checksum-verified (formats v2 and v3), and
+// (c) run through the deep decode validation pass (Table::Validate) before
+// the caller ever sees it. A corrupt, truncated or adversarial file yields
+// a structured Status — kDataLoss for untrustworthy bytes — never a crash.
 //
-// Format v2 (little-endian), magic "BIPIETB2":
+// Format v3 (little-endian), magic "BIPIETB3":
 //   magic, then a sequence of framed blocks, each
 //     u64 payload_length | u32 crc32c(payload) | payload
 //   Block 0 (header): u32 num_columns, per column (string name, u8 type,
 //     u8 encoding_choice), u32 num_segments.
 //   Per segment: one segment block (u64 num_rows, u8 has_alive, alive
 //     mask), then one block per column with the column's encoding,
-//     metadata, packed stream and auxiliary structures.
+//     metadata, frame-of-reference base and scale (u64, >= 1), packed
+//     stream and auxiliary structures.
 //
-// Format v1, magic "BIPIETB1": the same logical content with no framing
-// and no checksums. v1 files still load (the "unverified legacy format"
+// Format v2, magic "BIPIETB2": v3 without the per-column scale field; its
+// columns load with scale 1.
+//
+// Format v1, magic "BIPIETB1": the v2 content with no framing and no
+// checksums. v1 files still load (the "unverified legacy format"
 // path — deep validation is their only line of defence) unless
 // LoadOptions::strict demands a verifiable format. Unknown future versions
 // fail with kNotSupported.
@@ -41,13 +45,15 @@
 namespace bipie {
 
 struct SaveOptions {
-  // 2 (default) writes the checksummed BIPIETB2 format; 1 writes the legacy
-  // unchecksummed BIPIETB1 layout (back-compat tests, downgrade escape).
-  int format_version = 2;
+  // 3 (default) writes the checksummed BIPIETB3 format; 2 and 1 write the
+  // legacy BIPIETB2 and unchecksummed BIPIETB1 layouts (back-compat tests,
+  // downgrade escape). The legacy layouts have no scale field, so saving a
+  // table with a scaled frame-of-reference column as v1/v2 is kNotSupported.
+  int format_version = 3;
 };
 
 struct LoadOptions {
-  // Verify the CRC32C of every v2 block before decoding it. Skipping makes
+  // Verify the CRC32C of every v2/v3 block before decoding it. Skipping makes
   // loading a trusted file cost the same as v1 (the frame fields are a few
   // bytes per block); deep validation below still runs.
   bool verify_checksums = true;

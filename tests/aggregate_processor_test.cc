@@ -11,6 +11,7 @@
 #include "sql/parser.h"
 #include "storage/table.h"
 #include "tpch/q1.h"
+#include "vector/selection_vector.h"
 
 namespace bipie {
 namespace {
@@ -108,9 +109,15 @@ TEST(AggregateProcessorTest, PerBatchSelectionAdaptsToSelectivity) {
   std::vector<uint8_t> sel(4096);
   Rng rng(3);
   for (auto& b : sel) b = rng.NextBernoulli(0.01) ? 0xFF : 0x00;
-  ASSERT_TRUE(processor.ProcessBatch(0, 4096, sel.data()).ok());
+  ASSERT_TRUE(processor
+                  .ProcessBatch(0, 4096, sel.data(),
+                                CountSelected(sel.data(), 4096))
+                  .ok());
   for (auto& b : sel) b = rng.NextBernoulli(0.99) ? 0xFF : 0x00;
-  ASSERT_TRUE(processor.ProcessBatch(4096, 4096, sel.data()).ok());
+  ASSERT_TRUE(processor
+                  .ProcessBatch(4096, 4096, sel.data(),
+                                CountSelected(sel.data(), 4096))
+                  .ok());
   EXPECT_EQ(processor.selection_stats().gather, 1u);
   EXPECT_EQ(processor.selection_stats().special_group, 1u);
 }
@@ -120,7 +127,10 @@ TEST(AggregateProcessorTest, AllSelectedFilterCountsAsUnfiltered) {
   AggregateProcessor processor;
   ASSERT_TRUE(processor.Bind(f.table, f.segment(), f.query, {}).ok());
   std::vector<uint8_t> sel(4096, 0xFF);
-  ASSERT_TRUE(processor.ProcessBatch(0, 4096, sel.data()).ok());
+  ASSERT_TRUE(processor
+                  .ProcessBatch(0, 4096, sel.data(),
+                                CountSelected(sel.data(), 4096))
+                  .ok());
   EXPECT_EQ(processor.selection_stats().unfiltered, 1u);
 }
 
@@ -129,7 +139,10 @@ TEST(AggregateProcessorTest, AllRejectedBatchIsSkipped) {
   AggregateProcessor processor;
   ASSERT_TRUE(processor.Bind(f.table, f.segment(), f.query, {}).ok());
   std::vector<uint8_t> sel(4096, 0x00);
-  ASSERT_TRUE(processor.ProcessBatch(0, 4096, sel.data()).ok());
+  ASSERT_TRUE(processor
+                  .ProcessBatch(0, 4096, sel.data(),
+                                CountSelected(sel.data(), 4096))
+                  .ok());
   AggregateProcessor::SegmentResult result;
   ASSERT_TRUE(processor.Finish(&result).ok());
   for (int g = 0; g < result.num_groups; ++g) {
@@ -142,7 +155,7 @@ TEST(AggregateProcessorTest, CompensationHandlesNegativeBases) {
   ProcessorFixture f(4096, 3, 12);
   AggregateProcessor processor;
   ASSERT_TRUE(processor.Bind(f.table, f.segment(), f.query, {}).ok());
-  ASSERT_TRUE(processor.ProcessBatch(0, 4096, nullptr).ok());
+  ASSERT_TRUE(processor.ProcessBatch(0, 4096, nullptr, 4096).ok());
   AggregateProcessor::SegmentResult result;
   ASSERT_TRUE(processor.Finish(&result).ok());
 
@@ -173,7 +186,7 @@ TEST(AggregateProcessorTest, SharedColumnInputsProduceSharedSlots) {
                       AggregateSpec::Count()};
   AggregateProcessor processor;
   ASSERT_TRUE(processor.Bind(f.table, f.segment(), query, {}).ok());
-  ASSERT_TRUE(processor.ProcessBatch(0, 4096, nullptr).ok());
+  ASSERT_TRUE(processor.ProcessBatch(0, 4096, nullptr, 4096).ok());
   AggregateProcessor::SegmentResult result;
   ASSERT_TRUE(processor.Finish(&result).ok());
   for (int g = 0; g < result.num_groups; ++g) {
@@ -212,7 +225,10 @@ TEST(AggregateProcessorTest, CompactModeEvaluatesExpressionsPostFilter) {
       for (auto& v : sel_bytes) {
         v = batch_rng.NextBernoulli(0.6) ? 0xFF : 0x00;
       }
-      EXPECT_TRUE(processor.ProcessBatch(start, 4096, sel_bytes.data()).ok());
+      EXPECT_TRUE(processor
+                      .ProcessBatch(start, 4096, sel_bytes.data(),
+                                    CountSelected(sel_bytes.data(), 4096))
+                      .ok());
     }
     AggregateProcessor::SegmentResult result;
     EXPECT_TRUE(processor.Finish(&result).ok());
@@ -248,8 +264,8 @@ TEST(AggregateProcessorTest, SharedSubtreeEvaluatedOnce) {
   // x, y, 100, (100 - y), the product, 3 and the outer product: the
   // embedded subtree is one node.
   EXPECT_EQ(processor.expr_plan().num_nodes(), 7u);
-  ASSERT_TRUE(processor.ProcessBatch(0, 4096, nullptr).ok());
-  ASSERT_TRUE(processor.ProcessBatch(4096, 4096, nullptr).ok());
+  ASSERT_TRUE(processor.ProcessBatch(0, 4096, nullptr, 4096).ok());
+  ASSERT_TRUE(processor.ProcessBatch(4096, 4096, nullptr, 4096).ok());
   AggregateProcessor::SegmentResult result;
   ASSERT_TRUE(processor.Finish(&result).ok());
   for (int g = 0; g < result.num_groups; ++g) {

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/random.h"
+#include "cost/calibration.h"
+#include "cost/cost_model.h"
+#include "tests/test_util.h"
+#include "vector/gather_select.h"
 
 namespace bipie {
 namespace {
@@ -196,6 +203,172 @@ TEST(ColumnBuilderTest, BulkAppendMatchesRowAppend) {
   ColumnBuilder rows({"c", ColumnType::kInt64});
   for (int64_t x : v) rows.AppendInt64(x);
   EXPECT_EQ(DecodeAll(bulk.Finish()), DecodeAll(rows.Finish()));
+}
+
+TEST(ColumnBuilderTest, CommonDivisorNarrowsFrameOfReference) {
+  // Whole units stored as hundredths: 50 steps of 100 pack at 6 bits, not
+  // the 13 the raw spread 4900 would take.
+  for (EncodingChoice choice :
+       {EncodingChoice::kBitPacked, EncodingChoice::kByteSliced}) {
+    ColumnBuilder b({"c", ColumnType::kInt64, choice});
+    std::vector<int64_t> v;
+    Rng rng(5);
+    for (int i = 0; i < 3000; ++i) v.push_back(100 * rng.NextInRange(1, 50));
+    v[7] = 100;
+    v[8] = 5000;
+    for (int64_t x : v) b.AppendInt64(x);
+    const cost::CalibrationProfile profile = cost::BuiltinProfile();
+    const cost::CostModel model(profile);  // keeps a reference
+    const EncodingAdvice advice = b.Advise(model);
+    EncodedColumn col = b.Finish();
+    EXPECT_EQ(col.base(), 100);
+    EXPECT_EQ(col.scale(), 100u);
+    EXPECT_EQ(col.bit_width(), 6);
+    EXPECT_EQ(col.id_bound(), 50u);
+    EXPECT_EQ(advice.candidates[0].bit_width, 6);  // Finish and Advise agree
+    EXPECT_TRUE(col.Validate().ok());
+    EXPECT_EQ(DecodeAll(col), v);
+  }
+}
+
+TEST(ColumnBuilderTest, ScaleIsOneWithoutACommonDivisor) {
+  ColumnBuilder constant({"c", ColumnType::kInt64});
+  for (int i = 0; i < 10; ++i) constant.AppendInt64(-40);
+  EXPECT_EQ(constant.Finish().scale(), 1u);  // every offset is 0
+
+  ColumnBuilder b({"c", ColumnType::kInt64, EncodingChoice::kBitPacked});
+  for (int64_t x : {10, 16, 25}) b.AppendInt64(x);  // offsets 6, 15
+  EXPECT_EQ(b.Finish().scale(), 3u);
+  for (int64_t x : {10, 16, 24}) b.AppendInt64(x);  // offsets 6, 14
+  EXPECT_EQ(b.Finish().scale(), 2u);
+  for (int64_t x : {10, 16, 23}) b.AppendInt64(x);  // offsets 6, 13
+  EXPECT_EQ(b.Finish().scale(), 1u);
+}
+
+// A grid base + d * k, k in [0, max_k], for a drawn divisor d: random, a
+// power of two or a power of ten, with spreads d * max_k up to 64 bits.
+struct Grid {
+  int64_t base = 0;
+  uint64_t divisor = 1;
+  uint64_t max_k = 0;
+};
+
+Grid DrawGrid(Rng& rng) {
+  Grid g;
+  switch (rng.NextBounded(3)) {
+    case 0:
+      g.divisor = 1 + rng.NextBounded(1000);
+      break;
+    case 1:
+      g.divisor = uint64_t{1} << rng.NextBounded(63);
+      break;
+    default:
+      for (uint64_t k = rng.NextBounded(19); k > 0; --k) g.divisor *= 10;
+      break;
+  }
+  const int k_bits = static_cast<int>(rng.NextBounded(65));
+  g.max_k = k_bits == 0 ? 0 : rng.Next() >> (64 - k_bits);
+  g.max_k =
+      std::min(g.max_k, std::numeric_limits<uint64_t>::max() / g.divisor);
+  // Any base that keeps base + spread inside int64; small ones (often
+  // negative) half of the time.
+  const uint64_t room = std::numeric_limits<uint64_t>::max() -
+                        g.divisor * g.max_k;  // bases that fit, minus one
+  const uint64_t small = static_cast<uint64_t>(rng.NextInRange(-5000, 5000)) -
+                         static_cast<uint64_t>(
+                             std::numeric_limits<int64_t>::min());
+  const uint64_t pick =
+      rng.NextBernoulli(0.5) && small <= room
+          ? small
+          : (room == std::numeric_limits<uint64_t>::max()
+                 ? rng.Next()
+                 : rng.NextBounded(room + 1));
+  g.base = static_cast<int64_t>(
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::min()) + pick);
+  return g;
+}
+
+// Property: every read path of a frame-of-reference column — DecodeInt64,
+// UnpackIds mapped through base + scale * id, and GatherSelect — returns
+// the appended values, on unaligned windows, at every ISA tier. The oracle
+// is the appended vector itself and a divisor computed here, not the
+// decode the query engine and the hash-aggregation baseline share.
+TEST(ColumnBuilderTest, ScaledFrameOfReferenceReadsBackAppendedValues) {
+  Rng rng(20261017);
+  for (int trial = 0; trial < 120; ++trial) {
+    const Grid g = DrawGrid(rng);
+    const size_t n = 1 + rng.NextBounded(3000);
+    std::vector<int64_t> values(n);
+    for (int64_t& v : values) {
+      const uint64_t k = g.max_k == std::numeric_limits<uint64_t>::max()
+                             ? rng.Next()
+                             : rng.NextBounded(g.max_k + 1);
+      v = static_cast<int64_t>(static_cast<uint64_t>(g.base) + g.divisor * k);
+    }
+    const int64_t min = *std::min_element(values.begin(), values.end());
+    const int64_t max = *std::max_element(values.begin(), values.end());
+    uint64_t divisor = 0;
+    for (int64_t v : values) {
+      divisor = std::gcd(divisor, static_cast<uint64_t>(v) -
+                                      static_cast<uint64_t>(min));
+    }
+    if (divisor == 0) divisor = 1;
+    ASSERT_TRUE(divisor % g.divisor == 0 || max == min);
+    const uint64_t steps =
+        (static_cast<uint64_t>(max) - static_cast<uint64_t>(min)) / divisor;
+
+    for (EncodingChoice choice :
+         {EncodingChoice::kBitPacked, EncodingChoice::kByteSliced}) {
+      ColumnBuilder b({"c", ColumnType::kInt64, choice});
+      b.AppendInt64Bulk(values.data(), n);
+      const EncodedColumn col = b.Finish();
+      SCOPED_TRACE(::testing::Message()
+                   << "trial " << trial << " divisor " << g.divisor
+                   << " base " << g.base << " max_k " << g.max_k
+                   << " encoding " << static_cast<int>(choice));
+      ASSERT_EQ(col.scale(), divisor);
+      ASSERT_EQ(col.base(), min);
+      ASSERT_EQ(col.bit_width(), BitsRequired(steps));
+      ASSERT_EQ(col.id_bound() - 1, steps);
+      ASSERT_TRUE(col.Validate().ok());
+      test::ForEachIsaTier([&](IsaTier tier) {
+        SCOPED_TRACE(static_cast<int>(tier));
+        for (int w = 0; w < 8; ++w) {
+          const size_t start = rng.NextBounded(n);
+          const size_t len = 1 + rng.NextBounded(n - start);
+          std::vector<int64_t> decoded(len);
+          col.DecodeInt64(start, len, decoded.data());
+          ASSERT_TRUE(std::equal(decoded.begin(), decoded.end(),
+                                 values.begin() + start))
+              << "DecodeInt64 window " << start << "+" << len;
+          std::vector<uint64_t> ids(len);
+          col.UnpackIds(start, len, ids.data(), 8);
+          for (size_t i = 0; i < len; ++i) {
+            ASSERT_EQ(static_cast<int64_t>(static_cast<uint64_t>(min) +
+                                           divisor * ids[i]),
+                      values[start + i])
+                << "UnpackIds row " << start + i;
+          }
+        }
+        if (col.encoding() != Encoding::kBitPacked) return;
+        std::vector<uint32_t> indices;
+        for (size_t i = 0; i < n; ++i) {
+          if (rng.NextBernoulli(0.3)) {
+            indices.push_back(static_cast<uint32_t>(i));
+          }
+        }
+        std::vector<uint64_t> gathered(indices.size() + 4);
+        GatherSelect(col.packed_data(), col.bit_width(), indices.data(),
+                     indices.size(), gathered.data(), 8);
+        for (size_t i = 0; i < indices.size(); ++i) {
+          ASSERT_EQ(static_cast<int64_t>(static_cast<uint64_t>(min) +
+                                         divisor * gathered[i]),
+                    values[indices[i]])
+              << "GatherSelect row " << indices[i];
+        }
+      });
+    }
+  }
 }
 
 }  // namespace

@@ -280,5 +280,89 @@ TEST_P(PredicateEncodings, AndIntoMatchesRowByRow) {
   }
 }
 
+// Scaled frame-of-reference columns (v = base + scale * offset) against
+// CompareInt64, for literals from two steps below min to two steps above
+// max — on each grid point, one above it, mid-gap and one below the next —
+// under every CompareOp, BETWEEN with either, both or no end on the grid
+// (and ends inside one gap, which admit no grid value), both write modes,
+// both frame-of-reference encodings, the byte-slice plane kernels and the
+// assemble path, and every ISA tier.
+TEST(PredicateTest, ScaledColumnsRoundOffGridLiteralsToTheGrid) {
+  const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                            CompareOp::kLe, CompareOp::kGt, CompareOp::kGe,
+                            CompareOp::kBetween};
+  for (const int64_t scale : {int64_t{7}, int64_t{100}}) {
+    const int64_t min = -730;
+    const int64_t max = min + 40 * scale;
+    Rng rng(static_cast<uint64_t>(scale));
+    const size_t start = 5;
+    const size_t n = 403;
+    std::vector<int64_t> v(start + n);
+    for (auto& x : v) x = min + scale * rng.NextInRange(0, 40);
+    v[0] = min;
+    v[1] = max;
+    std::vector<int64_t> literals;
+    for (int64_t k = -2; k <= 42; ++k) {
+      for (int64_t gap : {int64_t{0}, int64_t{1}, scale / 2, scale - 1}) {
+        literals.push_back(min + k * scale + gap);
+      }
+    }
+    // BETWEEN ends: a sample of on-grid, off-grid and out-of-domain values.
+    std::vector<int64_t> ends;
+    for (size_t i = 0; i < literals.size(); i += 7) {
+      ends.push_back(literals[i]);
+    }
+    ends.push_back(min + 3 * scale + 1);  // one gap: [+1, +scale-1] is empty
+    ends.push_back(min + 4 * scale - 1);
+    std::vector<uint8_t> prior(n);
+    for (auto& b : prior) b = rng.NextBernoulli(0.7) ? 0xFF : 0x00;
+    for (EncodingChoice choice :
+         {EncodingChoice::kBitPacked, EncodingChoice::kByteSliced}) {
+      const EncodedColumn col = MakeColumn(choice, v);
+      ASSERT_EQ(col.scale(), static_cast<uint64_t>(scale));
+      ASSERT_EQ(col.bit_width(), 6);
+      for (CompareOp op : kOps) {
+        const std::vector<int64_t>& firsts =
+            op == CompareOp::kBetween ? ends : literals;
+        for (int64_t lit : firsts) {
+          for (int64_t lit2 : ends) {
+            if (op != CompareOp::kBetween && lit2 != ends[0]) continue;
+            const ColumnPredicate pred =
+                op == CompareOp::kBetween
+                    ? ColumnPredicate::Between("c", lit, lit2)
+                    : ColumnPredicate("c", op, lit);
+            test::ForEachIsaTier([&](IsaTier tier) {
+              for (bool planes : {false, true}) {
+                if (planes && choice != EncodingChoice::kByteSliced) continue;
+                for (SelectionWrite write :
+                     {SelectionWrite::kOverwrite, SelectionWrite::kAndInto}) {
+                  AlignedBuffer sel(n);
+                  std::memcpy(sel.data(), prior.data(), n);
+                  ASSERT_TRUE(
+                      pred.Evaluate(col, start, n, sel.data(), planes, write)
+                          .ok());
+                  for (size_t i = 0; i < n; ++i) {
+                    bool hit = CompareInt64(v[start + i], op, lit, lit2);
+                    if (write == SelectionWrite::kAndInto) {
+                      hit = hit && prior[i] != 0;
+                    }
+                    ASSERT_EQ(sel.data()[i], hit ? 0xFF : 0x00)
+                        << "scale=" << scale << " op=" << static_cast<int>(op)
+                        << " lit=" << lit << " lit2=" << lit2
+                        << " encoding=" << static_cast<int>(choice)
+                        << " planes=" << planes
+                        << " and_into=" << (write == SelectionWrite::kAndInto)
+                        << " tier=" << IsaTierName(tier) << " i=" << i;
+                  }
+                }
+              }
+            });
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bipie

@@ -1,5 +1,6 @@
-// Checksummed table format v2: round-trip, checksum detection, legacy v1
-// compatibility, LoadOptions knobs, and version negotiation.
+// Checksummed table formats v2 and v3: round-trip, checksum detection,
+// the v3 per-column scale, legacy v2/v1 compatibility, LoadOptions knobs,
+// and version negotiation.
 #include "storage/table_io.h"
 
 #include <gtest/gtest.h>
@@ -56,14 +57,97 @@ void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
   std::fclose(f);
 }
 
-TEST(TableIoV2Test, DefaultSaveWritesV2Magic) {
+TEST(TableIoV2Test, DefaultSaveWritesV3Magic) {
   Table table = MakeRichTable(500, 3);
-  const std::string path = TempPath("v2-magic.bipie");
+  const std::string path = TempPath("v3-magic.bipie");
   ASSERT_TRUE(SaveTable(table, path).ok());
   const std::vector<uint8_t> bytes = ReadFile(path);
   ASSERT_GE(bytes.size(), 8u);
-  EXPECT_EQ(std::memcmp(bytes.data(), "BIPIETB2", 8), 0);
+  EXPECT_EQ(std::memcmp(bytes.data(), "BIPIETB3", 8), 0);
   std::remove(path.c_str());
+}
+
+// Frame-of-reference columns on a grid: v = base + scale * offset with a
+// negative base, bit-packed and byte-sliced.
+Table MakeScaledTable(size_t rows, uint64_t seed) {
+  Table table({{"qty", ColumnType::kInt64, EncodingChoice::kBitPacked},
+               {"price", ColumnType::kInt64, EncodingChoice::kByteSliced},
+               {"plain", ColumnType::kInt64, EncodingChoice::kBitPacked}});
+  TableAppender app(&table, 2048);
+  Rng rng(seed);
+  for (size_t i = 0; i < rows; ++i) {
+    app.AppendRow({100 * rng.NextInRange(1, 50),
+                   -7000 + 1000 * rng.NextInRange(0, 300),
+                   rng.NextInRange(-9, 9)});
+  }
+  app.Flush();
+  return table;
+}
+
+TEST(TableIoV2Test, V3RoundTripPreservesScale) {
+  Table original = MakeScaledTable(5000, 8);
+  ASSERT_EQ(original.segment(0).column(0).scale(), 100u);
+  ASSERT_EQ(original.segment(0).column(1).scale(), 1000u);
+  ASSERT_EQ(original.segment(0).column(2).scale(), 1u);
+  const std::string path = TempPath("v3-roundtrip.bipie");
+  ASSERT_TRUE(SaveTable(original, path).ok());
+  auto loaded = LoadTable(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Table& t = loaded.value();
+  ASSERT_EQ(t.num_segments(), original.num_segments());
+  for (size_t s = 0; s < t.num_segments(); ++s) {
+    const size_t n = t.segment(s).num_rows();
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      const EncodedColumn& a = original.segment(s).column(c);
+      const EncodedColumn& b = t.segment(s).column(c);
+      EXPECT_EQ(a.scale(), b.scale());
+      EXPECT_EQ(a.base(), b.base());
+      EXPECT_EQ(a.bit_width(), b.bit_width());
+      std::vector<int64_t> va(n), vb(n);
+      a.DecodeInt64(0, n, va.data());
+      b.DecodeInt64(0, n, vb.data());
+      ASSERT_EQ(va, vb) << "segment " << s << " column " << c;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TableIoV2Test, V2FilesLoadWithScaleOne) {
+  Table original = MakeRichTable(3000, 12);
+  const std::string path = TempPath("v2-compat.bipie");
+  SaveOptions v2;
+  v2.format_version = 2;
+  ASSERT_TRUE(SaveTable(original, path, v2).ok());
+  const std::vector<uint8_t> bytes = ReadFile(path);
+  ASSERT_GE(bytes.size(), 8u);
+  EXPECT_EQ(std::memcmp(bytes.data(), "BIPIETB2", 8), 0);
+  LoadOptions strict;
+  strict.strict = true;  // v2 is checksummed: strict mode accepts it
+  auto loaded = LoadTable(path, strict);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Table& t = loaded.value();
+  for (size_t s = 0; s < t.num_segments(); ++s) {
+    const size_t n = t.segment(s).num_rows();
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      EXPECT_EQ(t.segment(s).column(c).scale(), 1u);
+      std::vector<int64_t> a(n), b(n);
+      original.segment(s).column(c).DecodeInt64(0, n, a.data());
+      t.segment(s).column(c).DecodeInt64(0, n, b.data());
+      ASSERT_EQ(a, b) << "segment " << s << " column " << c;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TableIoV2Test, LegacyFormatsRefuseScaledColumns) {
+  Table table = MakeScaledTable(300, 4);
+  for (int version : {1, 2}) {
+    SaveOptions legacy;
+    legacy.format_version = version;
+    EXPECT_EQ(SaveTable(table, TempPath("legacy-scaled.bipie"), legacy).code(),
+              StatusCode::kNotSupported)
+        << "v" << version;
+  }
 }
 
 TEST(TableIoV2Test, RoundTripPreservesEverything) {
@@ -188,10 +272,12 @@ TEST(TableIoV2Test, UnknownFutureVersionIsNotSupported) {
 
 TEST(TableIoV2Test, UnknownSaveVersionIsNotSupported) {
   Table table = MakeRichTable(100, 1);
-  SaveOptions bad;
-  bad.format_version = 3;
-  EXPECT_EQ(SaveTable(table, TempPath("v3.bipie"), bad).code(),
-            StatusCode::kNotSupported);
+  for (int version : {0, 4}) {
+    SaveOptions bad;
+    bad.format_version = version;
+    EXPECT_EQ(SaveTable(table, TempPath("v4.bipie"), bad).code(),
+              StatusCode::kNotSupported);
+  }
 }
 
 TEST(TableIoV2Test, StandaloneValidatePassesOnBuiltTables) {

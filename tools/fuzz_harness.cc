@@ -6,6 +6,7 @@
 #include <limits>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <iterator>
 #include <optional>
 #include <sstream>
@@ -13,7 +14,9 @@
 #include <vector>
 
 #include "baseline/hash_agg.h"
+#include "baseline/scalar_engine.h"
 #include "common/cpu.h"
+#include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "core/scan.h"
@@ -44,6 +47,14 @@ struct ValueColumn {
   int64_t lo = 0;
   int64_t hi = 0;
   EncodingChoice encoding = EncodingChoice::kAuto;
+  uint64_t divisor = 1;  // CaseParams::divisors
+
+  // Rounds v in [lo, hi] down to the column's grid lo + divisor * k.
+  int64_t Snap(int64_t v) const {
+    const uint64_t off = static_cast<uint64_t>(v) - static_cast<uint64_t>(lo);
+    return static_cast<int64_t>(static_cast<uint64_t>(lo) +
+                                off / divisor * divisor);
+  }
 };
 
 std::string GroupString(int id) { return "grp" + std::to_string(id); }
@@ -105,6 +116,7 @@ Schema MakeFuzzSchema(const CaseParams& p, Rng* rng, Rng* shape_rng,
         vc.encoding = EncodingChoice::kAuto;
         break;
     }
+    vc.divisor = p.divisors[c];
     value_cols->push_back(vc);
     schema.push_back(
         {"v" + std::to_string(c), ColumnType::kInt64, vc.encoding});
@@ -117,6 +129,7 @@ Schema MakeFuzzSchema(const CaseParams& p, Rng* rng, Rng* shape_rng,
     vc.lo = 0;
     vc.hi = (int64_t{1} << std::min(p.wide_bits, 62)) - 1;
     vc.encoding = EncodingChoice::kBitPacked;
+    vc.divisor = p.divisors[3];
     value_cols->push_back(vc);
     schema.push_back({"w", ColumnType::kInt64, EncodingChoice::kBitPacked});
   }
@@ -265,6 +278,8 @@ BuiltCase BuildCase(const CaseParams& p) {
   // Expression shapes draw from their own stream, so turning them on (or
   // shrinking them away) leaves every other draw of the case unchanged.
   Rng shape_rng(p.seed * 0x2545F4914F6CDD1DULL + 0x9E3779B97F4A7C15ULL);
+  // Likewise the choice of on-grid literals under CaseParams::divisors.
+  Rng grid_rng(p.seed * 0xD1B54A32D192ED03ULL + 0x8CB92BA72F3D8DD7ULL);
   std::vector<ValueColumn> value_cols;
   bool g1_is_string = false;
   BuiltCase built(
@@ -310,10 +325,10 @@ BuiltCase BuildCase(const CaseParams& p) {
       if (vc.encoding == EncodingChoice::kRle && run_len > 0) {
         // Deterministic staggered runs over a coarse grid of the domain.
         const size_t phase = (i + c * 37) / std::max<size_t>(1, run_len / 2);
-        ints[first_value_col + c] =
+        ints[first_value_col + c] = vc.Snap(
             std::min(vc.hi, vc.lo + static_cast<int64_t>(phase % 23) *
                                         std::max<int64_t>(
-                                            1, (vc.hi - vc.lo) / 23));
+                                            1, (vc.hi - vc.lo) / 23)));
         continue;
       }
       // RLE-friendly runs now and then, else uniform over the domain.
@@ -321,7 +336,7 @@ BuiltCase BuildCase(const CaseParams& p) {
           i > 0) {
         continue;  // keep previous value -> longer runs
       }
-      ints[first_value_col + c] = rng.NextInRange(vc.lo, vc.hi);
+      ints[first_value_col + c] = vc.Snap(rng.NextInRange(vc.lo, vc.hi));
     }
     if (p.expr_shapes > 0) {
       ints.back() = shape_rng.NextInRange(-kShapeColumnAbs, kShapeColumnAbs);
@@ -379,6 +394,13 @@ BuiltCase BuildCase(const CaseParams& p) {
                      &shape_rng, &query);
   }
 
+  // Half the = / <> literals of a gridded column land on the grid; the
+  // rest, like the quantile literals below, mostly fall between points.
+  auto point_literal = [&](const ValueColumn& vc) {
+    const int64_t literal = rng.NextInRange(vc.lo, vc.hi);
+    return vc.divisor > 1 && grid_rng.NextBernoulli(0.5) ? vc.Snap(literal)
+                                                         : literal;
+  };
   for (int f = 0; f < p.num_filters; ++f) {
     // First filter aims at target_selectivity via the uniform-domain
     // quantile; later conjuncts and special forms scatter around it.
@@ -398,11 +420,19 @@ BuiltCase BuildCase(const CaseParams& p) {
     const int64_t quantile =
         vc.lo + static_cast<int64_t>(q * span);
     switch (rng.NextBounded(5)) {
-      case 0:
-        query.filters.emplace_back(name, CompareOp::kLe, quantile);
+      case 0:  // on a gridded column, < half the time (rounds up)
+        query.filters.emplace_back(
+            name,
+            vc.divisor > 1 && grid_rng.NextBernoulli(0.5) ? CompareOp::kLt
+                                                          : CompareOp::kLe,
+            quantile);
         break;
-      case 1:
-        query.filters.emplace_back(name, CompareOp::kGt, quantile);
+      case 1:  // on a gridded column, >= half the time (rounds up)
+        query.filters.emplace_back(
+            name,
+            vc.divisor > 1 && grid_rng.NextBernoulli(0.5) ? CompareOp::kGe
+                                                          : CompareOp::kGt,
+            quantile);
         break;
       case 2:
         query.filters.push_back(ColumnPredicate::Between(
@@ -410,12 +440,10 @@ BuiltCase BuildCase(const CaseParams& p) {
             vc.hi - static_cast<int64_t>(0.5 * (1.0 - q) * span)));
         break;
       case 3:
-        query.filters.emplace_back(name, CompareOp::kNe,
-                                   rng.NextInRange(vc.lo, vc.hi));
+        query.filters.emplace_back(name, CompareOp::kNe, point_literal(vc));
         break;
       default:
-        query.filters.emplace_back(name, CompareOp::kEq,
-                                   rng.NextInRange(vc.lo, vc.hi));
+        query.filters.emplace_back(name, CompareOp::kEq, point_literal(vc));
         break;
     }
   }
@@ -560,7 +588,8 @@ std::string CaseParams::ToString() const {
      << " memory_limit=" << memory_limit
      << " cost_model=" << cost_model
      << " isa_tier=" << IsaTierName(static_cast<IsaTier>(isa_tier))
-     << " expr_shapes=" << expr_shapes;
+     << " expr_shapes=" << expr_shapes << " divisors=" << divisors[0];
+  for (size_t c = 1; c < divisors.size(); ++c) os << "," << divisors[c];
   return os.str();
 }
 
@@ -630,6 +659,29 @@ CaseParams MakeCaseParams(uint64_t seed) {
   // Half the cases add the plan-targeted expression shapes. Drawn last for
   // the same reason as cost_model.
   p.expr_shapes = static_cast<int>(rng.NextBounded(2));
+  // Grid divisors come from their own stream, so every field above keeps
+  // its per-seed value. Half the columns stay ungridded; the others get a
+  // power of two, a power of ten or an arbitrary divisor. Large powers
+  // leave only a few grid points in a column's domain, where rounding a
+  // bound by one point changes which rows match.
+  Rng grid_rng(seed * 0xBF58476D1CE4E5B9ULL + 0x94D049BB133111EBULL);
+  for (uint64_t& d : p.divisors) {
+    switch (grid_rng.NextBounded(6)) {
+      case 0:
+        d = uint64_t{1} << (1 + grid_rng.NextBounded(40));
+        break;
+      case 1:
+        d = 1;
+        for (uint64_t k = 1 + grid_rng.NextBounded(12); k > 0; --k) d *= 10;
+        break;
+      case 2:
+        d = 2 + grid_rng.NextBounded(999);
+        break;
+      default:
+        d = 1;
+        break;
+    }
+  }
   return p;
 }
 
@@ -681,6 +733,18 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
         p.cost_model = std::stoi(val);
       } else if (key == "expr_shapes") {
         p.expr_shapes = std::stoi(val);
+      } else if (key == "divisors") {
+        std::istringstream list(val);
+        std::string item;
+        size_t c = 0;
+        for (; c < p.divisors.size() && std::getline(list, item, ','); ++c) {
+          p.divisors[c] = std::stoull(item);
+        }
+        if (c != p.divisors.size() || std::getline(list, item, ',') ||
+            std::count(p.divisors.begin(), p.divisors.end(), 0) > 0) {
+          *error = "bad value for divisors (four values >= 1): " + val;
+          return false;
+        }
       } else if (key == "isa_tier") {
         p.isa_tier = -1;
         for (int t = 0; t <= 2; ++t) {
@@ -717,6 +781,18 @@ bool RunOneCase(const CaseParams& p, std::string* error) {
   auto oracle = ExecuteQueryHashAgg(built.table, built.query);
   if (!oracle.ok()) {
     *error = "oracle failed: " + oracle.status().ToString();
+    return false;
+  }
+  // The oracle shares the filter kernels and DecodeInt64 with the plans.
+  // The naive engine shares neither: it reads one value at a time and
+  // compares logical values (CompareInt64), so a wrong frame-of-reference
+  // scale or a literal rounded the wrong way off the grid shows up here.
+  auto naive = ExecuteQueryNaive(built.table, built.query);
+  if (!naive.ok()) {
+    *error = "naive engine failed: " + naive.status().ToString();
+    return false;
+  }
+  if (!ResultsAgree(naive.value(), oracle.value(), "naive engine", error)) {
     return false;
   }
   SetIsaTierForTesting(static_cast<IsaTier>(p.isa_tier));
@@ -892,6 +968,9 @@ CaseParams Shrink(const CaseParams& p) {
     if (best.cost_model != 0) add([](CaseParams& c) { c.cost_model = 0; });
     if (best.isa_tier != 0) add([](CaseParams& c) { c.isa_tier = 0; });
     if (best.expr_shapes != 0) add([](CaseParams& c) { c.expr_shapes = 0; });
+    for (size_t d = 0; d < best.divisors.size(); ++d) {
+      if (best.divisors[d] != 1) add([d](CaseParams& c) { c.divisors[d] = 1; });
+    }
     if (best.num_threads != 1) add([](CaseParams& c) { c.num_threads = 1; });
     for (const CaseParams& c : candidates) {
       if (!RunOneCase(c, &scratch)) {  // still fails -> keep the reduction
@@ -953,8 +1032,10 @@ namespace {
 
 // Golden table for the load fuzzer: every encoding, a string dictionary,
 // multiple segments, a liveness mask — small enough that thousands of
-// load attempts per second are possible.
-Table MakeLoadFuzzTable() {
+// load attempts per second are possible. `grid` multiplies the
+// frame-of-reference columns (packed, sliced), so with grid > 1 they are
+// stored scaled and only format v3 can hold them.
+Table MakeLoadFuzzTable(int64_t grid) {
   Table table({{"flag", ColumnType::kString},
                {"packed", ColumnType::kInt64, EncodingChoice::kBitPacked},
                {"dict", ColumnType::kInt64, EncodingChoice::kDictionary},
@@ -965,11 +1046,11 @@ Table MakeLoadFuzzTable() {
   Rng rng(2718);
   const char* flags[3] = {"A", "N", "R"};
   for (size_t i = 0; i < 600; ++i) {
-    app.AppendRow({0, rng.NextInRange(-500, 500),
+    app.AppendRow({0, grid * rng.NextInRange(-500, 500),
                    100 * static_cast<int64_t>(rng.NextBounded(7)),
                    static_cast<int64_t>(i / 50),
                    static_cast<int64_t>(i * 5) + rng.NextInRange(0, 3),
-                   rng.NextInRange(0, (int64_t{1} << 20) - 1)},
+                   grid * rng.NextInRange(0, (int64_t{1} << 20) - 1)},
                   {flags[rng.NextBounded(3)], "", "", "", "", ""});
   }
   app.Flush();
@@ -1039,20 +1120,85 @@ void MutateBytes(Rng* rng, std::vector<uint8_t>* mutant) {
   }
 }
 
+// The golden files every load case mutates: the unscaled table as v1 and
+// v2, the scaled one as v3, and where each v3 column block starts.
+struct LoadGoldens {
+  std::vector<uint8_t> v1, v2, v3;
+  std::vector<size_t> v3_column_blocks;
+};
+
+// Offsets of the column blocks of a v2/v3 file of `table` (each block is
+// u64 length, u32 crc32c, payload; the header block comes first, then per
+// segment a segment block and one block per column).
+std::vector<size_t> ColumnBlocks(const std::vector<uint8_t>& file,
+                                 const Table& table) {
+  auto skip = [&](size_t pos) {
+    uint64_t len = 0;
+    std::memcpy(&len, file.data() + pos, sizeof(len));
+    return pos + 12 + static_cast<size_t>(len);
+  };
+  std::vector<size_t> blocks;
+  size_t pos = skip(8);  // magic, header block
+  for (size_t s = 0; s < table.num_segments(); ++s) {
+    pos = skip(pos);  // segment block
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      blocks.push_back(pos);
+      pos = skip(pos);
+    }
+  }
+  return blocks;
+}
+
+// Rewrites one column's scale field to a value deep validation must reject
+// — 0, or a multiple or successor of the stored scale, which either no
+// longer divides the spread or puts scale * max offset past meta.max — and
+// recomputes the block checksum, so only validation stands in the way.
+void MutateScaleField(Rng* rng, const std::vector<size_t>& blocks,
+                      std::vector<uint8_t>* file) {
+  // Column payload: u8 type, u8 encoding, i64 min, i64 max, u64 num_rows,
+  // i64 base, u64 scale.
+  constexpr size_t kScaleOffset = 2 + 8 + 8 + 8 + 8;
+  const size_t pos = blocks[rng->NextBounded(blocks.size())];
+  uint8_t* payload = file->data() + pos + 12;
+  uint64_t len = 0, scale = 0;
+  std::memcpy(&len, file->data() + pos, sizeof(len));
+  std::memcpy(&scale, payload + kScaleOffset, sizeof(scale));
+  switch (rng->NextBounded(3)) {
+    case 0: scale = 0; break;
+    case 1: scale *= 2; break;
+    default: scale += 1; break;
+  }
+  std::memcpy(payload + kScaleOffset, &scale, sizeof(scale));
+  const uint32_t crc = Crc32c(payload, static_cast<size_t>(len));
+  std::memcpy(file->data() + pos + 8, &crc, sizeof(crc));
+}
+
 // One load-fuzz iteration; false (with *error filled) on a boundary breach.
-bool RunOneLoadCase(uint64_t case_seed, const std::vector<uint8_t>& golden_v1,
-                    const std::vector<uint8_t>& golden_v2,
+bool RunOneLoadCase(uint64_t case_seed, const LoadGoldens& goldens,
                     const std::string& path, std::string* error) {
   Rng rng(case_seed * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL);
-  std::vector<uint8_t> mutant =
-      rng.NextBernoulli(0.5) ? golden_v2 : golden_v1;
-  MutateBytes(&rng, &mutant);
+  const uint64_t recipe = rng.NextBounded(4);
+  std::vector<uint8_t> mutant = recipe == 0   ? goldens.v1
+                                : recipe == 1 ? goldens.v2
+                                              : goldens.v3;
+  if (recipe == 3) {
+    MutateScaleField(&rng, goldens.v3_column_blocks, &mutant);
+  } else {
+    MutateBytes(&rng, &mutant);
+  }
   if (!WriteFileBytes(path, mutant)) {
     *error = "cannot write mutant file: " + path;
     return false;
   }
 
   auto loaded = LoadTable(path);
+  if (recipe == 3 &&
+      (loaded.ok() || loaded.status().code() != StatusCode::kDataLoss)) {
+    *error = "invalid scale field not rejected as kDataLoss: " +
+             (loaded.ok() ? std::string("loaded")
+                          : loaded.status().ToString());
+    return false;
+  }
   if (!loaded.ok()) {
     if (!IsStructuredLoadError(loaded.status().code())) {
       *error = "unstructured load error: " + loaded.status().ToString();
@@ -1088,20 +1234,26 @@ bool RunOneLoadCase(uint64_t case_seed, const std::vector<uint8_t>& golden_v1,
 LoadFuzzResult RunLoadTableFuzz(uint64_t seed, uint64_t iters,
                                 double budget_seconds, bool verbose) {
   LoadFuzzResult result;
-  const Table golden = MakeLoadFuzzTable();
+  const Table golden = MakeLoadFuzzTable(1);
+  const Table scaled = MakeLoadFuzzTable(7);
   const char* tmpdir = std::getenv("TMPDIR");
   const std::string path = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
                            "/bipie_load_fuzz_" + std::to_string(seed) +
                            ".bipie";
-  std::vector<uint8_t> golden_v1, golden_v2;
-  SaveOptions v1;
+  LoadGoldens goldens;
+  SaveOptions v1, v2;
   v1.format_version = 1;
-  if (!SaveTable(golden, path, v1).ok() || !ReadFileBytes(path, &golden_v1) ||
-      !SaveTable(golden, path).ok() || !ReadFileBytes(path, &golden_v2)) {
+  v2.format_version = 2;
+  if (!SaveTable(golden, path, v1).ok() ||
+      !ReadFileBytes(path, &goldens.v1) ||
+      !SaveTable(golden, path, v2).ok() ||
+      !ReadFileBytes(path, &goldens.v2) || !SaveTable(scaled, path).ok() ||
+      !ReadFileBytes(path, &goldens.v3)) {
     result.failures = 1;
     result.first_error = "cannot materialize golden files at " + path;
     return result;
   }
+  goldens.v3_column_blocks = ColumnBlocks(goldens.v3, scaled);
 
   const auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < iters; ++i) {
@@ -1118,7 +1270,7 @@ LoadFuzzResult RunLoadTableFuzz(uint64_t seed, uint64_t iters,
                    seed + i);
     }
     std::string error;
-    if (RunOneLoadCase(seed + i, golden_v1, golden_v2, path, &error)) {
+    if (RunOneLoadCase(seed + i, goldens, path, &error)) {
       continue;
     }
     ++result.failures;

@@ -16,6 +16,7 @@
 #ifndef BIPIE_TOOLS_FUZZ_HARNESS_H_
 #define BIPIE_TOOLS_FUZZ_HARNESS_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -85,8 +86,16 @@ struct CaseParams {
                         // bounds exactly at or one past ±2^31. Drawn from
                         // their own stream, so the rest of the case is the
                         // same with or without them
+  // Grid divisor of the value columns v0, v1, v2 and w: values (and half
+  // of the = / <> literals) snap down to lo + d * k, so frame-of-reference
+  // columns store offset / d (DESIGN.md §19) and the other filter literals
+  // mostly fall between grid points; half the <= / > filters on a gridded
+  // column become < / >=, whose bounds round up. 1 leaves a column as
+  // drawn. Drawn from their own stream, like expr_shapes; shrink to 1.
+  std::array<uint64_t, 4> divisors = {1, 1, 1, 1};
 
-  // Replay line, e.g. "seed=42 rows=375 segment_rows=128 ... isa_tier=avx2".
+  // Replay line, e.g.
+  // "seed=42 rows=375 ... isa_tier=avx2 expr_shapes=0 divisors=1,100,1,1".
   // Parsed back by ParseCaseParams.
   std::string ToString() const;
 };
@@ -100,7 +109,9 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
                      std::string* error);
 
 // Builds the case and runs the full differential matrix:
-//   * the hash-aggregation oracle, at the scalar ISA tier,
+//   * the hash-aggregation oracle, at the scalar ISA tier, checked
+//     against the naive engine (one value at a time, filters compared on
+//     logical values),
 //   * everything below at p.isa_tier,
 //   * the adaptive plan inline plus (per p.num_threads) on the shared
 //     morsel pool or with legacy per-query threads,
@@ -145,13 +156,16 @@ struct LoadFuzzResult {
   std::string first_error;
 };
 
-// Fuzzes LoadTable: builds one golden table, saves it in both format
-// versions, and for each seed applies seeded mutations (byte flips,
-// truncations, garbage extension) before loading the mutant. Every mutant
-// must either fail with a structured load error or produce a validated
-// table that scans end to end — any other status (or any crash, which a
-// sanitizer build turns into a process abort) is a failure. Stops at the
-// first failing seed.
+// Fuzzes LoadTable: saves a golden table as format v1 and v2 and a copy
+// with scaled frame-of-reference columns as v3, and for each seed applies
+// seeded mutations (byte flips, truncations, garbage extension) before
+// loading the mutant. Every mutant must either fail with a structured load
+// error or produce a validated table that scans end to end — any other
+// status (or any crash, which a sanitizer build turns into a process
+// abort) is a failure. A quarter of the seeds instead rewrite one v3
+// column's scale field to an invalid value (0, or one that puts
+// scale * max offset past meta.max) under a recomputed checksum; those
+// must fail with kDataLoss. Stops at the first failing seed.
 LoadFuzzResult RunLoadTableFuzz(uint64_t seed, uint64_t iters,
                                 double budget_seconds, bool verbose);
 

@@ -52,8 +52,9 @@ double MeasureCombo(const Table& table, const QuerySpec& query,
   StrategyOverrides overrides;
   overrides.selection = sel;
   overrides.aggregation = AggregationStrategy::kMultiAggregate;
+  const SegmentPlan plan(table, 0, query, overrides);
   AggregateProcessor processor;
-  const Status st = processor.Bind(table, segment, query, overrides);
+  const Status st = processor.Bind(plan);
   BIPIE_DCHECK(st.ok());
   const size_t n = segment.num_rows();
   const uint8_t* sel_ptr = sel_bytes.data();

@@ -79,7 +79,6 @@ void RunConfig(const char* figure, int num_groups, int bits) {
   std::printf("--- %s: %d groups, %d-bit encoding ---\n", figure, num_groups,
               bits);
   Table table = MakeConfigTable(n, num_groups, bits, 1000 + bits);
-  const Segment& segment = table.segment(0);
 
   const AggregationStrategy aggs[] = {AggregationStrategy::kSortBased,
                                       AggregationStrategy::kInRegister,
@@ -114,8 +113,9 @@ void RunConfig(const char* figure, int num_groups, int bits) {
           StrategyOverrides overrides;
           overrides.aggregation = a;
           overrides.selection = s;
+          const SegmentPlan plan(table, 0, query, overrides);
           AggregateProcessor processor;
-          if (!processor.Bind(table, segment, query, overrides).ok()) {
+          if (!processor.Bind(plan).ok()) {
             continue;  // infeasible combo (e.g. 33 in-register groups)
           }
           const double cycles = MeasureCyclesPerRow(

@@ -146,6 +146,22 @@ class MemoryReservation {
 
   MemoryReservation(const MemoryReservation&) = delete;
   MemoryReservation& operator=(const MemoryReservation&) = delete;
+  // Moving transfers the charge; the source is left empty.
+  MemoryReservation(MemoryReservation&& other) noexcept
+      : tracker_(other.tracker_), bytes_(other.bytes_) {
+    other.tracker_ = nullptr;
+    other.bytes_ = 0;
+  }
+  MemoryReservation& operator=(MemoryReservation&& other) noexcept {
+    if (this != &other) {
+      Reset();
+      tracker_ = other.tracker_;
+      bytes_ = other.bytes_;
+      other.tracker_ = nullptr;
+      other.bytes_ = 0;
+    }
+    return *this;
+  }
 
   // Adjusts the reservation to `total_bytes`. Shrinking always succeeds;
   // growing returns kResourceExhausted when the tracker's hard limit would

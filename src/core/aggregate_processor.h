@@ -1,11 +1,12 @@
 // The Aggregate Processor (§3).
 //
-// Bound to one segment, it takes the group-id map and the selection byte
-// vector produced by the Filter component and computes all aggregates,
-// choosing among the Vector Toolbox strategies at run time:
+// Bound to one segment's SegmentPlan, it takes the group-id map and the
+// selection byte vector produced by the Filter component and computes all
+// aggregates with the Vector Toolbox strategies the plan chose:
 //
 //  * the aggregation strategy is fixed per segment, from metadata (group
-//    count bound, aggregate count and bit widths) and the §6.2 rules;
+//    count bound, aggregate count and bit widths) and the §6.2 rules —
+//    decided once, in the plan;
 //  * the selection strategy adapts per batch from measured selectivity.
 //
 // Raw bit-packed aggregate columns are summed in the *encoded offset
@@ -15,6 +16,10 @@
 // strategy requires it. Per-segment metadata proves the compensated sums
 // cannot overflow int64; otherwise processing falls back to a checked
 // scalar path.
+//
+// A processor holds only per-morsel state (accumulators, cursors, stats)
+// and borrows its batch scratch; the plan it binds is shared read-only, so
+// any number of processors on any threads may bind the same plan.
 #ifndef BIPIE_CORE_AGGREGATE_PROCESSOR_H_
 #define BIPIE_CORE_AGGREGATE_PROCESSOR_H_
 
@@ -23,11 +28,9 @@
 
 #include "common/aligned_buffer.h"
 #include "common/status.h"
-#include "core/group_mapper.h"
-#include "core/query.h"
+#include "core/segment_plan.h"
 #include "core/strategy.h"
 #include "expr/expr_plan.h"
-#include "storage/table.h"
 #include "vector/agg_multi.h"
 #include "vector/agg_sort.h"
 
@@ -55,15 +58,13 @@ class AggregateProcessor {
   // `scratch` (optional) is borrowed for every batch; by default the
   // processor owns one.
   explicit AggregateProcessor(AggregateScratch* scratch = nullptr)
-      : mapper_(scratch != nullptr ? &scratch->group_ids : nullptr),
-        scratch_(scratch != nullptr ? scratch : &own_scratch_) {}
+      : scratch_(scratch != nullptr ? scratch : &own_scratch_) {}
   AggregateProcessor(const AggregateProcessor&) = delete;
   AggregateProcessor& operator=(const AggregateProcessor&) = delete;
 
-  // Binds to one segment. Resolves the aggregation strategy (respecting
-  // overrides) and builds per-aggregate input descriptors.
-  Status Bind(const Table& table, const Segment& segment,
-              const QuerySpec& query, const StrategyOverrides& overrides);
+  // Binds fresh accumulators to `plan`, which must outlive the processor.
+  // A rejected plan returns its status() and binds nothing.
+  Status Bind(const SegmentPlan& plan);
 
   // Processes rows [start, start + n) of the bound segment. `sel` is the
   // selection byte vector for the window (filter merged with liveness), or
@@ -90,26 +91,9 @@ class AggregateProcessor {
   // span contiguously and horizontal-SIMD-sum it; RLE inputs reduce to
   // run-metadata arithmetic (sum += value * overlap, zero decode);
   // count += len always. Spans must arrive in ascending start order (the
-  // RLE walk keeps an amortized-O(runs) cursor). Only valid when Bind
-  // resolved kRunBased.
+  // RLE walk keeps an amortized-O(runs) cursor). Only valid when the plan
+  // chose kRunBased.
   Status ProcessRunSpan(uint8_t group, size_t start, size_t len);
-
-  // The bound group mapper — run pipeline callers pull group run spans
-  // from it directly.
-  const GroupMapper& group_mapper() const { return mapper_; }
-
-  AggregationStrategy aggregation_strategy() const { return agg_strategy_; }
-  int num_groups() const { return mapper_.num_groups(); }
-
-  // Inputs and outcome of this bind's strategy resolution (DESIGN.md §12).
-  // Valid after Bind, including rejected binds: the feasibility checks fill
-  // the inputs before returning an error, so PlanExplain can show what
-  // drove a forced-plan rejection.
-  const PlanDecision& plan_decision() const { return decision_; }
-
-  // The Bind-time plan every logical int64 aggregate input is evaluated
-  // through (expression sums, decoded columns, raw 8-byte sums).
-  const ExprPlan& expr_plan() const { return plan_; }
 
   // Batches processed per selection strategy (gather/compact/special/full),
   // for tests and the strategy explorer example.
@@ -123,30 +107,6 @@ class AggregateProcessor {
 
  private:
   enum class BatchMode { kFull, kGather, kCompact, kSpecialGroup };
-
-  struct AggInput {
-    enum class Op { kSum, kMin, kMax };
-
-    Op op = Op::kSum;
-    bool is_expr = false;
-    ExprPtr expr;                         // kSumExpr
-    const EncodedColumn* column = nullptr;  // raw
-    int column_index = -1;                  // raw
-    int bit_width = 0;
-    int64_t base = 0;
-    uint64_t scale = 1;
-    uint64_t max_offset = 0;
-    int word_bytes = 8;    // decoded element width fed to the strategy
-    bool compensate = false;
-    // RLE aggregate columns keep a direct run-stream reference besides the
-    // expression decode path, so kRunBased can aggregate them from run
-    // metadata alone.
-    const EncodedColumn* run_column = nullptr;
-    // Plan root holding this input's logical int64 values, or -1 when the
-    // input is raw offsets (its own value slot).
-    int node = -1;
-    int value_slot = -1;
-  };
 
   BatchMode PickBatchMode(size_t n, size_t selected, const uint8_t* sel);
 
@@ -162,15 +122,17 @@ class AggregateProcessor {
   // runs the plan.
   void EvaluatePlan(size_t start, size_t n, const uint8_t* sel,
                     const uint32_t* indices, size_t m, BatchMode mode);
-  const int64_t* PlanValues(const AggInput& input) const {
-    return plan_.values(input.node);
+  const int64_t* PlanValues(const AggregateInput& input) const {
+    return plan_->expr_plan().values(slots_, input.node);
   }
-  uint8_t* ValueSlot(const AggInput& input) const {
+  uint8_t* ValueSlot(const AggregateInput& input) const {
     // Value slots follow the plan's slots.
-    return scratch_->slots.data() +
-           (plan_.num_slots() + static_cast<size_t>(input.value_slot)) *
-               slot_stride_ * sizeof(int64_t);
+    return reinterpret_cast<uint8_t*>(
+        slots_.base + (plan_->expr_plan().num_slots() +
+                       static_cast<size_t>(input.value_slot)) *
+                          slots_.stride);
   }
+  const GroupMapper& mapper() const { return plan_->group_mapper(); }
 
   Status ProcessInRegister(size_t start, size_t n, const uint8_t* sel,
                            BatchMode mode);
@@ -181,38 +143,19 @@ class AggregateProcessor {
   Status ProcessScalar(size_t start, size_t n, const uint8_t* sel,
                        BatchMode mode, bool checked);
 
-  const Table* table_ = nullptr;
-  const Segment* segment_ = nullptr;
-  const QuerySpec* query_ = nullptr;
-
-  GroupMapper mapper_;
-  AggregationStrategy agg_strategy_ = AggregationStrategy::kScalar;
-  PlanDecision decision_;
-  StrategyOverrides overrides_;
-  bool special_group_available_ = false;
-  int max_materialized_bits_ = 8;  // drives the gather/compact crossover
-  // Model-derived gather crossover for this segment (cost_model=on); < 0
-  // keeps the Figure-7 heuristic. Precomputed at Bind so PickBatchMode's
-  // per-batch cost stays one comparison.
-  double model_gather_crossover_ = -1.0;
-
-  std::vector<AggInput> inputs_;      // one per SUM-like spec
-  ExprPlan plan_;
-  int num_value_slots_ = 0;  // raw inputs' dense value arrays
-  size_t slot_stride_ = 0;   // int64 elements per slot this batch
-  std::vector<int> spec_to_input_;    // query spec index -> inputs_ index, -1 for count
-
   // MIN/MAX extrema for every dense-mode row batch; value pointers follow
   // the same expr/raw rules the scalar strategy uses.
-  void ProcessMinMaxDense(BatchMode mode, size_t m, int geff);
+  void ProcessMinMaxDense(size_t m, int geff);
   // MIN/MAX for the sort-based path (full-window values + sorted indices).
   Status ProcessMinMaxSorted(size_t start, size_t n, int geff);
+
+  const SegmentPlan* plan_ = nullptr;
+  ExprPlan::Storage slots_;  // this batch's plan slots, then value slots
 
   // Accumulators sized num_groups + 1 (last slot = special group).
   std::vector<uint64_t> counts_;
   std::vector<int64_t> sums_;    // [input * (G + 1) + group], sum inputs
   std::vector<uint64_t> minmax_; // [input * (G + 1) + group], min/max inputs
-  std::vector<int> sum_inputs_;  // indices of Op::kSum inputs (register fit)
 
   MultiAggregator multi_agg_;
   bool multi_agg_ready_ = false;

@@ -30,12 +30,13 @@ struct GroupRunSpan {
   uint8_t group = 0;
 };
 
+// Immutable once bound: a SegmentPlan owns one and every morsel of the
+// segment maps through it concurrently.
 class GroupMapper {
  public:
-  // `scratch` (optional) holds the second column's ids while two columns
-  // combine; by default the mapper owns that buffer.
-  explicit GroupMapper(AlignedBuffer* scratch = nullptr)
-      : scratch_(scratch != nullptr ? scratch : &own_scratch_) {}
+  GroupMapper() = default;
+  GroupMapper(GroupMapper&&) = default;
+  GroupMapper& operator=(GroupMapper&&) = default;
   GroupMapper(const GroupMapper&) = delete;
   GroupMapper& operator=(const GroupMapper&) = delete;
 
@@ -50,13 +51,15 @@ class GroupMapper {
   int num_groups() const { return num_groups_; }
 
   // Produces byte group ids for rows [start, start + n). `out` needs 32
-  // bytes of write slack.
-  void MapBatch(size_t start, size_t n, uint8_t* out) const;
+  // bytes of write slack. `scratch` (the caller's) holds the second
+  // column's ids while two columns combine.
+  void MapBatch(size_t start, size_t n, uint8_t* out,
+                AlignedBuffer* scratch) const;
 
   // Produces group ids only for the given (ascending, batch-local) row
   // indices of the window starting at `start` — the gather-selection path.
   void MapSelected(size_t start, const uint32_t* indices, size_t n,
-                   uint8_t* out) const;
+                   uint8_t* out, AlignedBuffer* scratch) const;
 
   // Decodes local group id -> the value of group column `k`.
   GroupValue ValueOf(int group_id, int k) const;
@@ -104,8 +107,6 @@ class GroupMapper {
 
   std::vector<BoundColumn> columns_;
   int num_groups_ = 1;
-  AlignedBuffer own_scratch_;
-  AlignedBuffer* const scratch_;  // second column ids during combine
   // Charge for the id_runs/rle_values vectors, which AlignedBuffer
   // accounting cannot see. Updated at Bind; Bind fails with
   // kResourceExhausted when the growth breaches the query's limit.

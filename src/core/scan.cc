@@ -126,7 +126,7 @@ Status BIPieScan::ScanMorsel(const Morsel& morsel,
                              ScanStats* stats,
                              std::vector<SegmentContribution>* out) {
   // Every allocation this morsel makes — scratch growth, processor
-  // buffers, mapper structures — is charged against the query's tracker,
+  // buffers — is charged against the query's tracker,
   // and a hard-limit breach on a throwing Resize path surfaces here as a
   // structured per-morsel kResourceExhausted. The deterministic error
   // reduction in Execute then fails the whole query: complete or error,
@@ -150,19 +150,15 @@ Status BIPieScan::ScanMorselImpl(const Morsel& morsel,
                                  const std::vector<int>& filter_cols,
                                  ScanStats* stats,
                                  std::vector<SegmentContribution>* out) {
-  const Segment& segment = table_.segment(morsel.segment_index);
+  const SegmentPlan& plan = *morsel.plan;
+  const Segment& segment = plan.segment();
   QueryContext* ctx = options_.context;
   BIPIE_TRACE_SPAN_ARG("scan.morsel", "scan", "segment",
-                       morsel.segment_index);
+                       plan.segment_index());
 
   MorselScratch& scratch = ThreadMorselScratch();
   AggregateProcessor processor(&scratch.aggregate);
-  BIPIE_RETURN_NOT_OK(
-      processor.Bind(table_, segment, query_, options_.overrides));
-  if (morsel.counts_segment) {
-    stats->aggregation_segments[static_cast<int>(
-        processor.aggregation_strategy())]++;
-  }
+  BIPIE_RETURN_NOT_OK(processor.Bind(plan));
 
   AlignedBuffer& sel_buf = scratch.sel_buf;
   // The selection scratch is sized up front for the largest batch this
@@ -175,7 +171,7 @@ Status BIPieScan::ScanMorselImpl(const Morsel& morsel,
     return Status::ResourceExhausted("morsel selection scratch allocation");
   }
 
-  if (processor.aggregation_strategy() == AggregationStrategy::kRunBased) {
+  if (plan.aggregation() == AggregationStrategy::kRunBased) {
     BIPIE_RETURN_NOT_OK(RunPipeline(morsel, filter_cols, &processor, stats));
     return FinishMorsel(processor, stats, out);
   }
@@ -196,7 +192,7 @@ Status BIPieScan::ScanMorselImpl(const Morsel& morsel,
       for (size_t f = 0; f < query_.filters.size(); ++f) {
         BIPIE_RETURN_NOT_OK(query_.filters[f].Evaluate(
             segment.column(filter_cols[f]), view.start, view.num_rows,
-            sel_buf.data(), processor.plan_decision().byteslice_admitted,
+            sel_buf.data(), plan.decision().byteslice_admitted,
             f == 0 ? SelectionWrite::kOverwrite : SelectionWrite::kAndInto));
       }
       sel = sel_buf.data();
@@ -266,10 +262,10 @@ Status BIPieScan::RunPipeline(const Morsel& morsel,
                               const std::vector<int>& filter_cols,
                               AggregateProcessor* processor,
                               ScanStats* stats) {
-  const Segment& segment = table_.segment(morsel.segment_index);
+  const Segment& segment = morsel.plan->segment();
   QueryContext* ctx = options_.context;
   BIPIE_TRACE_SPAN_ARG("scan.run_pipeline", "scan", "segment",
-                       morsel.segment_index);
+                       morsel.plan->segment_index());
   const size_t start = morsel.start_row;
   const size_t n = morsel.num_rows;
   stats->rows_scanned += n;
@@ -290,8 +286,9 @@ Status BIPieScan::RunPipeline(const Morsel& morsel,
   }
 
   std::vector<GroupRunSpan> spans;
-  spans.reserve(processor->group_mapper().run_count_bound());
-  processor->group_mapper().AppendRunSpans(start, n, &spans);
+  const GroupMapper& mapper = morsel.plan->group_mapper();
+  spans.reserve(mapper.run_count_bound());
+  mapper.AppendRunSpans(start, n, &spans);
 
   // Two-pointer intersection of the group tiling with the selected
   // intervals; pieces come out in ascending start order, which the
@@ -359,39 +356,25 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
                                       options_.priority,
                                       &stats_.admission_wait_ns));
 
-  // Resolve filter column indices once.
-  std::vector<int> filter_cols;
-  for (const ColumnPredicate& pred : query_.filters) {
-    const int idx = table_.FindColumn(pred.column_name());
-    if (idx < 0) {
-      return Status::InvalidArgument("unknown filter column: " +
-                                     pred.column_name());
-    }
-    filter_cols.push_back(idx);
+  // Plan every segment once, before any row is read: elimination, then
+  // one shared SegmentPlan per scanned segment. Run dictionaries the plans
+  // build are charged to the query's tracker.
+  Result<ScanPlan> planned = [&] {
+    MemoryTrackerScope memory_scope(ctx != nullptr ? &ctx->memory_tracker()
+                                                   : nullptr);
+    return PlanScan(table_, query_, options_.overrides,
+                    options_.enable_segment_elimination);
+  }();
+  if (!planned.ok()) return planned.status();
+  const ScanPlan& plan = planned.value();
+  stats_.segments_scanned = plan.segments_scanned;
+  stats_.segments_eliminated = plan.segments_eliminated;
+  // A real planning error, or a forced plan that cannot run, is the answer
+  // before any morsel is scanned.
+  if (plan.fails()) {
+    Counters().errors.Increment();
+    return plan.failure;
   }
-
-  // Segment elimination pass builds the scan work list.
-  std::vector<size_t> work;
-  for (size_t s = 0; s < table_.num_segments(); ++s) {
-    const Segment& segment = table_.segment(s);
-    if (segment.num_rows() == 0) continue;
-    if (options_.enable_segment_elimination) {
-      bool eliminated = false;
-      for (size_t f = 0; f < query_.filters.size(); ++f) {
-        if (query_.filters[f].EliminatesSegment(
-                segment.column(filter_cols[f]))) {
-          eliminated = true;
-          break;
-        }
-      }
-      if (eliminated) {
-        ++stats_.segments_eliminated;
-        continue;
-      }
-    }
-    work.push_back(s);
-  }
-  stats_.segments_scanned = work.size();
 
   // The work list becomes morsels. Pooled scans chunk large segments into
   // batch-aligned ~64K-row ranges so work stealing rebalances skew; the
@@ -410,26 +393,28 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
   size_t morsel_rows =
       options_.morsel_rows == 0 ? kDefaultMorselRows : options_.morsel_rows;
   morsel_rows = (morsel_rows + kBatchRows - 1) / kBatchRows * kBatchRows;
+  // Under a predicted hash fallback the planned segments still run: a real
+  // error there (a checked-scalar overflow the hash engine could not see)
+  // outranks the fallback.
   std::vector<Morsel> morsels;
-  for (const size_t s : work) {
-    const size_t rows = table_.segment(s).num_rows();
-    if (pooled) {
-      for (size_t start = 0; start < rows; start += morsel_rows) {
-        morsels.push_back({morsels.size(), s, start,
-                           std::min(morsel_rows, rows - start), start == 0});
-      }
-    } else {
-      morsels.push_back({morsels.size(), s, 0, rows, true});
+  for (const SegmentPlan& segment_plan : plan.segments) {
+    if (segment_plan.eliminated() || !segment_plan.status().ok()) continue;
+    stats_.aggregation_segments[static_cast<int>(
+        segment_plan.aggregation())]++;
+    const size_t rows = segment_plan.segment().num_rows();
+    const size_t step = pooled ? morsel_rows : rows;
+    for (size_t start = 0; start < rows; start += step) {
+      morsels.push_back({morsels.size(), &segment_plan, start,
+                         std::min(step, rows - start)});
     }
   }
 
   std::vector<std::vector<SegmentContribution>> contributions(morsels.size());
   // Per-morsel status so error selection cannot depend on scheduling: the
-  // failure reported to the caller is always the lowest-indexed real error,
-  // falling back to the lowest-indexed kNotSupported rejection. A real error
-  // (e.g. kOverflowRisk) must never be masked by another morsel's
-  // kNotSupported, which would silently flip the hash-fallback decision with
-  // execution ordering.
+  // failure reported to the caller follows FoldFailure's precedence over
+  // the plan's failure and then the morsels in work_index order. A real
+  // error (e.g. kOverflowRisk) must never be masked by a kNotSupported,
+  // which would silently flip the hash-fallback decision.
   std::vector<Status> morsel_status(morsels.size());
   std::vector<ScanStats> morsel_stats(morsels.size());
 
@@ -444,15 +429,15 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
     std::atomic<size_t> first_real_error{SIZE_MAX};
     TaskGroup group(&Scheduler::Global(), ctx);
     for (const Morsel& morsel : morsels) {
-      group.Submit([this, morsel, &filter_cols, &morsel_status, &morsel_stats,
+      group.Submit([this, morsel, &plan, &morsel_status, &morsel_stats,
                     &contributions, &first_real_error] {
         if (morsel.work_index >
             first_real_error.load(std::memory_order_acquire)) {
           return;
         }
-        Status st =
-            ScanMorsel(morsel, filter_cols, &morsel_stats[morsel.work_index],
-                       &contributions[morsel.work_index]);
+        Status st = ScanMorsel(morsel, plan.filter_cols,
+                               &morsel_stats[morsel.work_index],
+                               &contributions[morsel.work_index]);
         if (!st.ok() && st.code() != StatusCode::kNotSupported) {
           size_t cur = first_real_error.load(std::memory_order_relaxed);
           while (morsel.work_index < cur &&
@@ -478,7 +463,7 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
         sizes[m] = morsels[m].num_rows;
       }
       for (const size_t m : internal_scan::LargestFirstOrder(sizes)) {
-        morsel_status[m] = ScanMorsel(morsels[m], filter_cols,
+        morsel_status[m] = ScanMorsel(morsels[m], plan.filter_cols,
                                       &morsel_stats[m], &contributions[m]);
         // Keep scanning past kNotSupported (a later work item may surface a
         // real error that must take precedence); stop on real errors.
@@ -499,7 +484,7 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
           for (;;) {
             const size_t m = next.fetch_add(1);
             if (m >= morsels.size()) return;
-            morsel_status[m] = ScanMorsel(morsels[m], filter_cols,
+            morsel_status[m] = ScanMorsel(morsels[m], plan.filter_cols,
                                           &morsel_stats[m], &contributions[m]);
             if (!morsel_status[m].ok() &&
                 morsel_status[m].code() != StatusCode::kNotSupported) {
@@ -523,9 +508,6 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
     stats_.selection.compact += ms.selection.compact;
     stats_.selection.special_group += ms.selection.special_group;
     stats_.selection.unfiltered += ms.selection.unfiltered;
-    for (int a = 0; a < kNumAggregationStrategies; ++a) {
-      stats_.aggregation_segments[a] += ms.aggregation_segments[a];
-    }
   }
 
   // Bulk counter report: the work this scan actually performed, whatever
@@ -549,26 +531,16 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
     return Status::Cancelled("query cancelled");
   }
 
-  // Deterministic failure choice: lowest-indexed non-kNotSupported error
-  // first, then lowest-indexed kNotSupported rejection.
-  Status failure;
-  for (const Status& st : morsel_status) {
-    if (st.ok()) continue;
-    if (failure.ok() || (failure.code() == StatusCode::kNotSupported &&
-                         st.code() != StatusCode::kNotSupported)) {
-      failure = st;
-    }
-    if (failure.code() != StatusCode::kNotSupported) break;
-  }
+  // Deterministic failure choice (FoldFailure): the plan's kNotSupported
+  // if any, outranked by the lowest-indexed real error of a morsel.
+  Status failure = plan.failure;
+  for (const Status& st : morsel_status) FoldFailure(st, &failure);
 
   if (!failure.ok()) {
     // Outside the specialized envelope (e.g. >255 combined groups): degrade
     // gracefully to the generic engine — unless the caller explicitly
     // forced strategies, in which case the rejection is the answer.
-    if (failure.code() == StatusCode::kNotSupported &&
-        !options_.overrides.selection.has_value() &&
-        !options_.overrides.aggregation.has_value() &&
-        !options_.overrides.byteslice.has_value()) {
+    if (failure.code() == StatusCode::kNotSupported && !plan.forced) {
       // The progress counters describe the aborted specialized scan, not the
       // query that is about to run; reset them so callers never see a mix of
       // the two runs. The segment plan (scanned/eliminated) still stands.
@@ -688,12 +660,6 @@ ScanOptions MakeScanOptions(QueryContext* context) {
   const std::string& byteslice = settings.force_byteslice();
   if (!byteslice.empty()) {
     options.overrides.byteslice = byteslice == "on";
-  }
-  const std::string& cost_model = settings.cost_model();
-  if (!cost_model.empty()) {
-    const auto mode = ParseCostModelMode(cost_model);
-    BIPIE_DCHECK(mode.has_value());
-    if (mode.has_value()) options.overrides.cost_model = *mode;
   }
   return options;
 }

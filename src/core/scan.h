@@ -1,13 +1,14 @@
 // The BIPie columnstore scan (§3, Figure 1).
 //
-// Orchestrates the single-node scan of one table: per segment it applies
-// segment elimination, binds an Aggregate Processor (which fixes the
-// aggregation strategy for that segment), then walks 4096-row batches —
-// filter evaluation producing a selection byte vector, merge with the
-// deleted-row mask, per-batch selection strategy choice, and fused
-// decode + selection + grouped aggregation. Per-segment local results are
-// merged into global groups by decoded group value (dictionary ids are
-// segment-local).
+// Orchestrates the single-node scan of one table. PlanScan first plans
+// every segment once (core/segment_plan.h): segment elimination, then the
+// aggregation strategy, input descriptors, group mapping and expression
+// plan. Each morsel then binds an Aggregate Processor to its segment's
+// shared plan and walks 4096-row batches — filter evaluation producing a
+// selection byte vector, merge with the deleted-row mask, per-batch
+// selection strategy choice, and fused decode + selection + grouped
+// aggregation. Per-segment local results are merged into global groups by
+// decoded group value (dictionary ids are segment-local).
 //
 // Parallelism is morsel-driven (src/exec): with num_threads == 0 the scan
 // splits segments into ~64K-row morsels and runs them on the process-wide
@@ -23,6 +24,7 @@
 #include "common/status.h"
 #include "core/aggregate_processor.h"
 #include "core/query.h"
+#include "core/segment_plan.h"
 #include "core/strategy.h"
 #include "exec/admission.h"
 #include "exec/query_context.h"
@@ -32,8 +34,8 @@ namespace bipie {
 
 // Default rows per morsel when the scan runs on the shared pool: 16 batches
 // of kBatchRows — small enough that stealing fixes skew (an RLE-heavy or
-// mostly-eliminated sibling), large enough that per-morsel bind and queue
-// costs stay far below decode cost.
+// mostly-eliminated sibling), large enough that per-morsel accumulator
+// setup and queue costs stay far below decode cost.
 inline constexpr size_t kDefaultMorselRows = size_t{1} << 16;
 
 namespace internal_scan {
@@ -111,25 +113,26 @@ class BIPieScan {
   // Runs the scan to completion.
   Result<QueryResult> Execute();
 
-  // Plans the scan without executing it (DESIGN.md §12): per segment, the
-  // elimination outcome, the resolved selection×aggregation strategy, the
+  // Plans the scan without executing it (DESIGN.md §12) — the same
+  // PlanScan Execute runs — and renders per segment the elimination
+  // outcome, the resolved selection×aggregation strategy, the
   // admission/profitability inputs that drove the choice and the rejected
-  // alternatives — plus the query-level hash-fallback decision. Rendered
-  // via PlanExplain::ToText()/ToJson(). Defined in src/obs/plan_explain.cc.
+  // alternatives, plus the query-level outcome. Rendered via
+  // PlanExplain::ToText()/ToJson(). Defined in src/obs/plan_explain.cc.
   Result<PlanExplain> Explain() const;
 
   const ScanStats& stats() const { return stats_; }
 
  private:
-  // One unit of scan work: a batch-aligned row range of one segment.
-  // work_index orders morsels canonically (segment order, then range order)
-  // independent of execution order.
+  // One unit of scan work: a batch-aligned row range of one segment,
+  // scanned under that segment's shared plan. work_index orders morsels
+  // canonically (segment order, then range order) independent of
+  // execution order.
   struct Morsel {
     size_t work_index = 0;
-    size_t segment_index = 0;
+    const SegmentPlan* plan = nullptr;
     size_t start_row = 0;
     size_t num_rows = 0;
-    bool counts_segment = false;  // first morsel of its segment
   };
 
   // Binds the query's memory tracker for the morsel's duration and turns

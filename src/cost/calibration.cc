@@ -514,20 +514,9 @@ CalibrationProfile LoadOrCalibrate(const std::string& path) {
 
 // --- process-wide active profile --------------------------------------------
 
-namespace {
-CalibrationProfile& MutableActiveProfile() {
-  static CalibrationProfile profile = BuiltinProfile();
+const CalibrationProfile& ActiveProfile() {
+  static const CalibrationProfile profile = BuiltinProfile();
   return profile;
-}
-}  // namespace
-
-const CalibrationProfile& ActiveProfile() { return MutableActiveProfile(); }
-
-CalibrationProfile InstallProfileForProcess(
-    const CalibrationProfile& profile) {
-  CalibrationProfile previous = MutableActiveProfile();
-  MutableActiveProfile() = profile;
-  return previous;
 }
 
 }  // namespace bipie::cost

@@ -1,9 +1,11 @@
 // Roofline cost model over calibrated primitive throughputs (DESIGN.md §17).
 //
 // Predicts cycles per segment row for every candidate plan of one segment —
-// selection strategy × aggregation strategy × byteslice on/off — from the
-// same metadata AggregateProcessor::Bind already gathers, plus a
-// CalibrationProfile (cost/calibration.h). The pipeline laws, with s the
+// selection strategy × aggregation strategy × byteslice on/off — from
+// segment metadata plus a CalibrationProfile (cost/calibration.h). Scan
+// admission does not consult it (the §6 heuristics are the one admission
+// procedure); the encoding advisor (ColumnBuilder::Advise) and perfbench's
+// cost layer do. The pipeline laws, with s the
 // unified selectivity estimate, G the group-column decode cost, D the
 // aggregate-input decode cost and K(X) the strategy-X kernel cost (all
 // cycles/row):
@@ -37,8 +39,8 @@
 
 namespace bipie::cost {
 
-// Scalar summary of one segment's shape, filled by Bind (or by tests
-// directly). All *_cpr fields are cycles per segment row.
+// Scalar summary of one segment's shape, filled by the caller (perfbench's
+// cost layer, tests). All *_cpr fields are cycles per segment row.
 struct SegmentCostInputs {
   size_t rows = 0;
   // Unified selectivity: product of per-predicate estimates (the byteslice
@@ -56,7 +58,7 @@ struct SegmentCostInputs {
   // Aggregate-input decode per processed row (post-selection).
   double agg_decode_cpr = 0.0;
   int num_sums = 0;
-  // Feasibility gates mirrored from Bind's checks.
+  // Feasibility gates (SegmentPlan's checks).
   bool in_register_feasible = false;
   bool multi_fits = false;
   bool sort_feasible = false;
@@ -89,6 +91,8 @@ struct SegmentCosts {
 
 class CostModel {
  public:
+  // Copies the profile (a few hundred bytes), so a model built from a
+  // temporary stays valid.
   explicit CostModel(const CalibrationProfile& profile) : p_(profile) {}
 
   const CalibrationProfile& profile() const { return p_; }
@@ -125,7 +129,7 @@ class CostModel {
                         AggregationStrategy strategy,
                         SelectionStrategy* best_selection) const;
 
-  const CalibrationProfile& p_;
+  CalibrationProfile p_;
 };
 
 }  // namespace bipie::cost

@@ -78,8 +78,12 @@ void DeltaDecode(const DeltaEncoded& enc, int64_t* out) {
   const size_t n = enc.num_values - 1;
   std::vector<uint64_t> offsets(n);
   BitUnpackToWord(enc.packed.data(), 0, n, enc.bit_width, offsets.data(), 8);
+  // Wrapping arithmetic: offset + min_delta is the exact delta modulo 2^64
+  // even when the delta spread exceeds 2^63.
   for (size_t i = 0; i < n; ++i) {
-    out[i + 1] = out[i] + enc.min_delta + static_cast<int64_t>(offsets[i]);
+    out[i + 1] = static_cast<int64_t>(static_cast<uint64_t>(out[i]) +
+                                      static_cast<uint64_t>(enc.min_delta) +
+                                      offsets[i]);
   }
 }
 

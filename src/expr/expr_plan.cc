@@ -34,12 +34,6 @@ void Map(int64_t* BIPIE_RESTRICT out, size_t n, Fn fn) {
 
 }  // namespace
 
-void ExprPlan::Clear() {
-  nodes_.clear();
-  columns_.clear();
-  num_slots_ = 0;
-}
-
 int ExprPlan::Intern(const Node& key) {
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const Node& n = nodes_[i];
@@ -212,13 +206,14 @@ void ExprPlan::Finalize() {
   }
 }
 
-void ExprPlan::Run(size_t rows) const {
+void ExprPlan::Run(const Storage& storage, size_t rows) const {
   const size_t n = (rows + 3) & ~size_t{3};
   for (const Node& node : nodes_) {
     if (node.slot < 0 || node.kernel == Kernel::kLoad) continue;
-    int64_t* out = Out(node);
-    const int64_t* a = node.a >= 0 ? values(node.a) : nullptr;
-    const int64_t* b = node.b >= 0 ? values(node.b) : nullptr;
+    int64_t* out =
+        storage.base + static_cast<size_t>(node.slot) * storage.stride;
+    const int64_t* a = node.a >= 0 ? values(storage, node.a) : nullptr;
+    const int64_t* b = node.b >= 0 ? values(storage, node.b) : nullptr;
     const int64_t c = node.c;
     switch (node.kernel) {
       case Kernel::kFill:

@@ -1,4 +1,5 @@
-// Bind-time evaluation plan for a segment's aggregate inputs.
+// Per-segment evaluation plan for the aggregate inputs, built once when
+// the segment is planned (core/segment_plan.h).
 //
 // The scan lowers every aggregate input that needs logical int64 values —
 // expression sums, decoded columns, raw 8-byte sums — into one plan: a list
@@ -49,9 +50,6 @@ class ExprPlan {
     kMulRSubC,   // a * (c - b)
   };
 
-  // Drops every node (the plan can be rebuilt for another segment).
-  void Clear();
-
   // Adds `expr` and returns the id of its root node. Structurally equal
   // subtrees resolve to the same node. Must precede Finalize.
   int Add(const Expr& expr);
@@ -67,21 +65,25 @@ class ExprPlan {
   const std::vector<int>& columns() const { return columns_; }
   Kernel kernel(int node) const { return nodes_[node].kernel; }
 
-  // Points the plan at one batch's storage: num_slots() arrays of `stride`
-  // int64 each, stride a multiple of 4 and >= the row count Run is given.
-  void SetStorage(int64_t* base, size_t stride) {
-    base_ = base;
-    stride_ = stride;
-  }
+  // One batch's storage, owned by the caller so that one finalized plan
+  // serves many threads: num_slots() arrays of `stride` int64 each, stride
+  // a multiple of 4 and >= the row count Run is given.
+  struct Storage {
+    int64_t* base = nullptr;
+    size_t stride = 0;
+  };
   // The array of column slot k (k < columns().size()).
-  int64_t* column_values(size_t k) const { return base_ + k * stride_; }
+  static int64_t* column_values(const Storage& storage, size_t k) {
+    return storage.base + k * storage.stride;
+  }
   // Evaluates every computed node over rows [0, n). Rows up to the next
   // multiple of 4 are computed too (slots have room; the extra lanes are
   // ignored).
-  void Run(size_t n) const;
+  void Run(const Storage& storage, size_t n) const;
   // The values of node `id` (a root passed to Add), valid after Run.
-  const int64_t* values(int id) const {
-    return base_ + static_cast<size_t>(nodes_[id].slot) * stride_;
+  const int64_t* values(const Storage& storage, int id) const {
+    return storage.base +
+           static_cast<size_t>(nodes_[id].slot) * storage.stride;
   }
 
  private:
@@ -106,15 +108,10 @@ class ExprPlan {
   // A (c ± x) node Mul can absorb: one constant side, used only there.
   bool Fusable(int id) const;
   void LowerMul(Node& node);
-  int64_t* Out(const Node& node) const {
-    return base_ + static_cast<size_t>(node.slot) * stride_;
-  }
 
   std::vector<Node> nodes_;
   std::vector<int> columns_;
   size_t num_slots_ = 0;
-  int64_t* base_ = nullptr;
-  size_t stride_ = 0;
 };
 
 }  // namespace bipie

@@ -120,7 +120,11 @@ void EncodedColumn::DecodeInt64(size_t start, size_t n, int64_t* out) const {
       // (block_row, start + n) consume packed indices [block_row, ...).
       const size_t block = start / kDeltaCheckpointRows;
       const size_t block_row = block * kDeltaCheckpointRows;
-      int64_t value = checkpoints_[block];
+      // Rolled forward in wrapping uint64 arithmetic: a delta's offset and
+      // delta_min_ may each be far outside int64 range when the delta
+      // spread exceeds 2^63, but every partial sum lands back on a stored
+      // int64 value, so the result is exact.
+      uint64_t value = static_cast<uint64_t>(checkpoints_[block]);
       const size_t total = start + n;
       const size_t num_deltas =
           total > block_row + 1 ? total - block_row - 1 : 0;
@@ -129,11 +133,14 @@ void EncodedColumn::DecodeInt64(size_t start, size_t n, int64_t* out) const {
         BitUnpackToWord(packed_.data(), block_row, num_deltas, bit_width_,
                         offsets.data(), 8);
       }
-      if (block_row >= start) out[block_row - start] = value;
+      const auto delta_min = static_cast<uint64_t>(delta_min_);
+      if (block_row >= start) {
+        out[block_row - start] = static_cast<int64_t>(value);
+      }
       for (size_t k = 0; k < num_deltas; ++k) {
         const size_t row = block_row + 1 + k;
-        value += delta_min_ + static_cast<int64_t>(offsets[k]);
-        if (row >= start) out[row - start] = value;
+        value += delta_min + offsets[k];
+        if (row >= start) out[row - start] = static_cast<int64_t>(value);
       }
       return;
     }

@@ -44,14 +44,12 @@ struct ProcessorFixture {
 
 TEST(AggregateProcessorTest, BindResolvesStrategyFromMetadata) {
   ProcessorFixture f;
-  AggregateProcessor processor;
-  ASSERT_TRUE(
-      processor.Bind(f.table, f.segment(), f.query, {}).ok());
+  const SegmentPlan plan(f.table, 0, f.query, {});
+  ASSERT_TRUE(plan.status().ok());
   // 5 groups (+special), two raw sums of <= 8 bits... y spans [-100,100] ->
   // 8-bit offsets. Small bits + few groups: in-register territory.
-  EXPECT_EQ(processor.aggregation_strategy(),
-            AggregationStrategy::kInRegister);
-  EXPECT_EQ(processor.num_groups(), 5);
+  EXPECT_EQ(plan.aggregation(), AggregationStrategy::kInRegister);
+  EXPECT_EQ(plan.group_mapper().num_groups(), 5);
 }
 
 TEST(AggregateProcessorTest, BindRejectsStringAggregate) {
@@ -61,9 +59,10 @@ TEST(AggregateProcessorTest, BindRejectsStringAggregate) {
   app.Flush();
   QuerySpec query;
   query.aggregates = {AggregateSpec::Sum("s")};
+  const SegmentPlan plan(table, 0, query, {});
+  EXPECT_EQ(plan.status().code(), StatusCode::kNotSupported);
   AggregateProcessor processor;
-  EXPECT_EQ(processor.Bind(table, table.segment(0), query, {}).code(),
-            StatusCode::kNotSupported);
+  EXPECT_EQ(processor.Bind(plan).code(), StatusCode::kNotSupported);
 }
 
 TEST(AggregateProcessorTest, BindRejectsInfeasibleForcedStrategies) {
@@ -74,10 +73,8 @@ TEST(AggregateProcessorTest, BindRejectsInfeasibleForcedStrategies) {
       Expr::Mul(Expr::Column(1), Expr::Column(2))));
   StrategyOverrides overrides;
   overrides.aggregation = AggregationStrategy::kInRegister;
-  AggregateProcessor processor;
-  EXPECT_EQ(
-      processor.Bind(f.table, f.segment(), expr_query, overrides).code(),
-      StatusCode::kNotSupported);
+  EXPECT_EQ(SegmentPlan(f.table, 0, expr_query, overrides).status().code(),
+            StatusCode::kNotSupported);
 
   // Multi-aggregate: five 64-bit expression slots cannot fit.
   QuerySpec wide_query = f.query;
@@ -87,24 +84,23 @@ TEST(AggregateProcessorTest, BindRejectsInfeasibleForcedStrategies) {
         Expr::Add(Expr::Column(2), Expr::Constant(i))));
   }
   overrides.aggregation = AggregationStrategy::kMultiAggregate;
-  EXPECT_EQ(
-      processor.Bind(f.table, f.segment(), wide_query, overrides).code(),
-      StatusCode::kNotSupported);
+  EXPECT_EQ(SegmentPlan(f.table, 0, wide_query, overrides).status().code(),
+            StatusCode::kNotSupported);
 
   // Sort-based needs at least one sum.
   QuerySpec count_query;
   count_query.group_by = {"g"};
   count_query.aggregates = {AggregateSpec::Count()};
   overrides.aggregation = AggregationStrategy::kSortBased;
-  EXPECT_EQ(
-      processor.Bind(f.table, f.segment(), count_query, overrides).code(),
-      StatusCode::kNotSupported);
+  EXPECT_EQ(SegmentPlan(f.table, 0, count_query, overrides).status().code(),
+            StatusCode::kNotSupported);
 }
 
 TEST(AggregateProcessorTest, PerBatchSelectionAdaptsToSelectivity) {
   ProcessorFixture f(16384, 5, 11);
+  const SegmentPlan plan(f.table, 0, f.query, {});
   AggregateProcessor processor;
-  ASSERT_TRUE(processor.Bind(f.table, f.segment(), f.query, {}).ok());
+  ASSERT_TRUE(processor.Bind(plan).ok());
   // Batch 0: 1% selected -> gather. Batch 1: 99% selected -> special group.
   std::vector<uint8_t> sel(4096);
   Rng rng(3);
@@ -124,8 +120,9 @@ TEST(AggregateProcessorTest, PerBatchSelectionAdaptsToSelectivity) {
 
 TEST(AggregateProcessorTest, AllSelectedFilterCountsAsUnfiltered) {
   ProcessorFixture f;
+  const SegmentPlan plan(f.table, 0, f.query, {});
   AggregateProcessor processor;
-  ASSERT_TRUE(processor.Bind(f.table, f.segment(), f.query, {}).ok());
+  ASSERT_TRUE(processor.Bind(plan).ok());
   std::vector<uint8_t> sel(4096, 0xFF);
   ASSERT_TRUE(processor
                   .ProcessBatch(0, 4096, sel.data(),
@@ -136,8 +133,9 @@ TEST(AggregateProcessorTest, AllSelectedFilterCountsAsUnfiltered) {
 
 TEST(AggregateProcessorTest, AllRejectedBatchIsSkipped) {
   ProcessorFixture f;
+  const SegmentPlan plan(f.table, 0, f.query, {});
   AggregateProcessor processor;
-  ASSERT_TRUE(processor.Bind(f.table, f.segment(), f.query, {}).ok());
+  ASSERT_TRUE(processor.Bind(plan).ok());
   std::vector<uint8_t> sel(4096, 0x00);
   ASSERT_TRUE(processor
                   .ProcessBatch(0, 4096, sel.data(),
@@ -153,8 +151,9 @@ TEST(AggregateProcessorTest, AllRejectedBatchIsSkipped) {
 TEST(AggregateProcessorTest, CompensationHandlesNegativeBases) {
   // Column y has base -100; sums must come back in the logical domain.
   ProcessorFixture f(4096, 3, 12);
+  const SegmentPlan plan(f.table, 0, f.query, {});
   AggregateProcessor processor;
-  ASSERT_TRUE(processor.Bind(f.table, f.segment(), f.query, {}).ok());
+  ASSERT_TRUE(processor.Bind(plan).ok());
   ASSERT_TRUE(processor.ProcessBatch(0, 4096, nullptr, 4096).ok());
   AggregateProcessor::SegmentResult result;
   ASSERT_TRUE(processor.Finish(&result).ok());
@@ -184,8 +183,9 @@ TEST(AggregateProcessorTest, SharedColumnInputsProduceSharedSlots) {
   QuerySpec query = f.query;
   query.aggregates = {AggregateSpec::Sum("x"), AggregateSpec::Avg("x"),
                       AggregateSpec::Count()};
+  const SegmentPlan plan(f.table, 0, query, {});
   AggregateProcessor processor;
-  ASSERT_TRUE(processor.Bind(f.table, f.segment(), query, {}).ok());
+  ASSERT_TRUE(processor.Bind(plan).ok());
   ASSERT_TRUE(processor.ProcessBatch(0, 4096, nullptr, 4096).ok());
   AggregateProcessor::SegmentResult result;
   ASSERT_TRUE(processor.Finish(&result).ok());
@@ -216,8 +216,9 @@ TEST(AggregateProcessorTest, CompactModeEvaluatesExpressionsPostFilter) {
     StrategyOverrides overrides;
     overrides.selection = sel;
     overrides.aggregation = AggregationStrategy::kMultiAggregate;
+    const SegmentPlan plan(f.table, 0, query, overrides);
     AggregateProcessor processor;
-    EXPECT_TRUE(processor.Bind(f.table, f.segment(), query, overrides).ok());
+    EXPECT_TRUE(processor.Bind(plan).ok());
     Rng rng(33);
     std::vector<uint8_t> sel_bytes(4096);
     for (size_t start = 0; start < 12288; start += 4096) {
@@ -259,11 +260,12 @@ TEST(AggregateProcessorTest, SharedSubtreeEvaluatedOnce) {
   query.group_by = {"g"};
   query.aggregates = {AggregateSpec::SumExpr(base_expr),
                       AggregateSpec::SumExpr(nested)};
+  const SegmentPlan plan(f.table, 0, query, {});
   AggregateProcessor processor;
-  ASSERT_TRUE(processor.Bind(f.table, f.segment(), query, {}).ok());
+  ASSERT_TRUE(processor.Bind(plan).ok());
   // x, y, 100, (100 - y), the product, 3 and the outer product: the
   // embedded subtree is one node.
-  EXPECT_EQ(processor.expr_plan().num_nodes(), 7u);
+  EXPECT_EQ(plan.expr_plan().num_nodes(), 7u);
   ASSERT_TRUE(processor.ProcessBatch(0, 4096, nullptr, 4096).ok());
   ASSERT_TRUE(processor.ProcessBatch(4096, 4096, nullptr, 4096).ok());
   AggregateProcessor::SegmentResult result;
@@ -294,10 +296,10 @@ TEST(AggregateProcessorTest, ParsedAndBuiltQ1BindTheSamePlan) {
   const QuerySpec sql = parsed.value().spec;
   const QuerySpec built = MakeQ1Query(lineitem);
   for (size_t s = 0; s < lineitem.num_segments(); ++s) {
-    AggregateProcessor from_sql, from_built;
-    ASSERT_TRUE(from_sql.Bind(lineitem, lineitem.segment(s), sql, {}).ok());
-    ASSERT_TRUE(
-        from_built.Bind(lineitem, lineitem.segment(s), built, {}).ok());
+    const SegmentPlan from_sql(lineitem, s, sql, {});
+    const SegmentPlan from_built(lineitem, s, built, {});
+    ASSERT_TRUE(from_sql.status().ok());
+    ASSERT_TRUE(from_built.status().ok());
     const ExprPlan& a = from_sql.expr_plan();
     const ExprPlan& b = from_built.expr_plan();
     EXPECT_EQ(a.num_nodes(), b.num_nodes());
@@ -377,9 +379,10 @@ TEST(AggregateProcessorTest, PointerSharedAndCopiedSubtreesPlanAlike) {
       copied.filters = shared.filters;
     }
 
-    AggregateProcessor a, b;
-    ASSERT_TRUE(a.Bind(f.table, f.segment(), shared, {}).ok());
-    ASSERT_TRUE(b.Bind(f.table, f.segment(), copied, {}).ok());
+    const SegmentPlan a(f.table, 0, shared, {});
+    const SegmentPlan b(f.table, 0, copied, {});
+    ASSERT_TRUE(a.status().ok());
+    ASSERT_TRUE(b.status().ok());
     ASSERT_EQ(a.expr_plan().num_nodes(), b.expr_plan().num_nodes())
         << "trial " << trial;
     EXPECT_EQ(a.expr_plan().columns(), b.expr_plan().columns());

@@ -217,9 +217,8 @@ TEST(ColumnBuilderTest, CommonDivisorNarrowsFrameOfReference) {
     v[7] = 100;
     v[8] = 5000;
     for (int64_t x : v) b.AppendInt64(x);
-    const cost::CalibrationProfile profile = cost::BuiltinProfile();
-    const cost::CostModel model(profile);  // keeps a reference
-    const EncodingAdvice advice = b.Advise(model);
+    const EncodingAdvice advice =
+        b.Advise(cost::CostModel(cost::BuiltinProfile()));
     EncodedColumn col = b.Finish();
     EXPECT_EQ(col.base(), 100);
     EXPECT_EQ(col.scale(), 100u);

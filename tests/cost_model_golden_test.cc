@@ -6,9 +6,8 @@
 //    selection, byteslice verdict and predicted cycles/row over a grid of
 //    segment shapes × selectivities. Any retuning of the builtin constants
 //    or change to the pipeline laws shows up as a diff here first;
-//  * the explain renderings (text + JSON) of real plans under
-//    cost_model=off/on/adaptive, including the model cost block and the
-//    model-derived byteslice reasons.
+//  * the explain rendering (text + JSON) of the mixed-shape plan, which
+//    carries no cost block: scan admission is the §6 heuristics alone.
 //
 // To regenerate after an intentional model change:
 //
@@ -222,91 +221,10 @@ QuerySpec MakeMixedQuery() {
   return query;
 }
 
-Table MakeRunTable() {
-  Table table({
-      {"g", ColumnType::kInt64, EncodingChoice::kRle},
-      {"f", ColumnType::kInt64, EncodingChoice::kRle},
-      {"amount", ColumnType::kInt64, EncodingChoice::kRle},
-  });
-  TableAppender app(&table, /*segment_rows=*/size_t{1} << 16);
-  for (size_t i = 0; i < 60000; ++i) {
-    app.AppendRow({static_cast<int64_t>((i / 10000) % 3),
-                   static_cast<int64_t>((i / 7000) % 4),
-                   static_cast<int64_t>((i / 6000) % 50)});
-  }
-  app.Flush();
-  return table;
-}
-
-Table MakeByteSliceTable() {
-  Table table({
-      {"g", ColumnType::kInt64, EncodingChoice::kDictionary},
-      {"sliced", ColumnType::kInt64, EncodingChoice::kByteSliced},
-      {"amount", ColumnType::kInt64, EncodingChoice::kBitPacked},
-  });
-  TableAppender app(&table, /*segment_rows=*/2048);
-  Rng rng(4004);
-  for (size_t i = 0; i < 5000; ++i) {
-    app.AppendRow({rng.NextInRange(0, 5),
-                   rng.NextInRange(0, (int64_t{1} << 22) - 1),
-                   rng.NextInRange(0, 499)});
-  }
-  app.Flush();
-  return table;
-}
-
-QuerySpec MakeByteSliceQuery(int64_t threshold) {
-  QuerySpec query;
-  query.group_by = {"g"};
-  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("amount")};
-  query.filters.emplace_back("sliced", CompareOp::kLt, threshold);
-  return query;
-}
-
-ScanOptions WithMode(CostModelMode mode) {
-  ScanOptions options;
-  options.overrides.cost_model = mode;
-  return options;
-}
-
+// The mixed shape's explain: admission renders its heuristic inputs and no
+// model costs.
 TEST(CostModelGoldenTest, MixedOff) {
-  // Off must render no cost block at all — byte-identical to the legacy
-  // explain for this plan.
-  CheckCase("cost_mixed_off", MakeMixedTable(), MakeMixedQuery(),
-            WithMode(CostModelMode::kOff));
-}
-
-TEST(CostModelGoldenTest, MixedOn) {
-  CheckCase("cost_mixed_on", MakeMixedTable(), MakeMixedQuery(),
-            WithMode(CostModelMode::kOn));
-}
-
-TEST(CostModelGoldenTest, MixedAdaptive) {
-  CheckCase("cost_mixed_adaptive", MakeMixedTable(), MakeMixedQuery(),
-            WithMode(CostModelMode::kAdaptive));
-}
-
-TEST(CostModelGoldenTest, RunOn) {
-  QuerySpec query;
-  query.group_by = {"g"};
-  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("amount")};
-  query.filters.emplace_back("f", CompareOp::kLt, int64_t{2});
-  CheckCase("cost_run_on", MakeRunTable(), query,
-            WithMode(CostModelMode::kOn));
-}
-
-TEST(CostModelGoldenTest, ByteSliceSelectiveOn) {
-  // ~6% selectivity: the model admits the plane kernels.
-  CheckCase("cost_byteslice_selective_on", MakeByteSliceTable(),
-            MakeByteSliceQuery(int64_t{1} << 18),
-            WithMode(CostModelMode::kOn));
-}
-
-TEST(CostModelGoldenTest, ByteSliceBroadOn) {
-  // ~97% selectivity: the model prices the planes above the decode path.
-  CheckCase("cost_byteslice_broad_on", MakeByteSliceTable(),
-            MakeByteSliceQuery((int64_t{1} << 22) - 100000),
-            WithMode(CostModelMode::kOn));
+  CheckCase("cost_mixed_off", MakeMixedTable(), MakeMixedQuery());
 }
 
 }  // namespace

@@ -26,14 +26,15 @@ struct PlanRunner {
                                   size_t n) {
     const size_t stride = (n + 7) & ~size_t{7};
     storage.Resize(plan.num_slots() * stride * sizeof(int64_t));
-    plan.SetStorage(storage.data_as<int64_t>(), stride);
+    const ExprPlan::Storage slots{storage.data_as<int64_t>(), stride};
     for (size_t k = 0; k < plan.columns().size(); ++k) {
       const std::vector<int64_t>& src = cols[plan.columns()[k]];
-      std::copy(src.begin(), src.begin() + n, plan.column_values(k));
+      std::copy(src.begin(), src.begin() + n,
+                ExprPlan::column_values(slots, k));
     }
-    plan.Run(n);
+    plan.Run(slots, n);
     std::vector<const int64_t*> out;
-    for (int r : roots) out.push_back(plan.values(r));
+    for (int r : roots) out.push_back(plan.values(slots, r));
     return out;
   }
 };

@@ -4,7 +4,11 @@
 // (DESIGN.md §12). This pins down the whole reduction pipeline — per-morsel
 // stats, the work_index-ordered merge, once-per-segment strategy counting —
 // as scheduling-independent; TSan runs this file in CI as the stats-race
-// canary.
+// canary, with 4096-row pooled morsels sharing each segment's plan.
+//
+// Every successful scan here is also checked against its own Explain()
+// (test::ExplainMatchesExecute): both come from one PlanScan, so the
+// per-segment strategies and the fallback Explain shows are what ran.
 //
 // Segments here are kept at or below kDefaultMorselRows on purpose: a
 // pooled scan splits larger segments into 64K-row morsels, and an RLE run
@@ -47,6 +51,30 @@ void ExpectSameStats(const ScanStats& got, const ScanStats& base,
   }
 }
 
+void ExpectExplainMatchesExecute(const PlanExplain& explain,
+                                 const ScanStats& stats,
+                                 const std::string& context) {
+  for (const std::string& v : test::ExplainMatchesExecute(explain, stats)) {
+    ADD_FAILURE() << context << ": " << v;
+  }
+}
+
+// 4096-row pooled morsels: every segment above one batch is scanned by
+// several morsels bound to its one shared plan.
+void CheckSmallMorsels(const Table& table, const QuerySpec& query,
+                       ScanOptions options) {
+  options.num_threads = 0;
+  options.morsel_rows = 4096;
+  BIPieScan scan(table, query, options);
+  auto got = scan.Execute();
+  ASSERT_TRUE(got.ok()) << "morsel_rows=4096: " << got.status().ToString();
+  BIPIE_EXPECT_STATS_INVARIANTS(scan, query, table, &got.value());
+  auto explain = scan.Explain();
+  ASSERT_TRUE(explain.ok());
+  ExpectExplainMatchesExecute(explain.value(), scan.stats(),
+                              "morsel_rows=4096");
+}
+
 // Runs the scan at every parallelism model and checks stats + explain JSON
 // never vary. The (thread-count-invariant) stats land in *out for extra
 // checks. (ASSERT_* requires a void return, hence the out-parameter.)
@@ -67,6 +95,7 @@ void CheckDeterminism(const Table& table, const QuerySpec& query,
     auto got = scan.Execute();
     ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
     BIPIE_EXPECT_STATS_INVARIANTS(scan, query, table, &got.value());
+    ExpectExplainMatchesExecute(explain.value(), scan.stats(), context);
 
     if (first) {
       reference = scan.stats();
@@ -77,6 +106,7 @@ void CheckDeterminism(const Table& table, const QuerySpec& query,
       EXPECT_EQ(explain.value().ToJson(), reference_json) << context;
     }
   }
+  CheckSmallMorsels(table, query, base_options);
   *out = reference;
 }
 
@@ -217,6 +247,55 @@ TEST(StatsDeterminismTest, AggregationSegmentsCountedOncePerSegment) {
     }
     EXPECT_EQ(total, num_segments) << context;
     EXPECT_EQ(scan.stats().segments_scanned, num_segments) << context;
+  }
+}
+
+// Every forced selection x aggregation plan (and each dimension forced
+// alone), at every parallelism model and with 4096-row morsels: a plan
+// that runs must be the plan Explain shows; one that cannot run must be
+// rejected by Explain and Execute alike, before any row is scanned.
+TEST(StatsDeterminismTest, ExplainMatchesExecuteForEveryForcedPlan) {
+  Table table = MakeMixedTable(20000, 8192, 9006);
+  QuerySpec query;
+  query.group_by = {"g"};
+  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("narrow"),
+                      AggregateSpec::Sum("wide")};
+  query.filters.emplace_back("filter_col", CompareOp::kLt, int64_t{300});
+  for (int sel = -1; sel < 3; ++sel) {
+    for (int agg = -1; agg < kNumAggregationStrategies; ++agg) {
+      ScanOptions base;
+      if (sel >= 0) {
+        base.overrides.selection = static_cast<SelectionStrategy>(sel);
+      }
+      if (agg >= 0) {
+        base.overrides.aggregation = static_cast<AggregationStrategy>(agg);
+      }
+      const std::string plan_name = "sel=" + std::to_string(sel) +
+                                    " agg=" + std::to_string(agg);
+      for (const size_t morsel_rows : {size_t{0}, size_t{4096}}) {
+        for (const size_t threads : {size_t{0}, size_t{1}, size_t{4}}) {
+          ScanOptions options = base;
+          options.num_threads = threads;
+          options.morsel_rows = morsel_rows;
+          const std::string context =
+              plan_name + " num_threads=" + std::to_string(threads) +
+              " morsel_rows=" + std::to_string(morsel_rows);
+          BIPieScan scan(table, query, options);
+          auto explain = scan.Explain();
+          ASSERT_TRUE(explain.ok()) << context;
+          auto got = scan.Execute();
+          if (!got.ok()) {
+            EXPECT_TRUE(explain.value().plan_error)
+                << context << ": " << got.status().ToString();
+            EXPECT_EQ(scan.stats().batches, 0u) << context;
+            continue;
+          }
+          EXPECT_FALSE(explain.value().plan_error) << context;
+          BIPIE_EXPECT_STATS_INVARIANTS(scan, query, table, &got.value());
+          ExpectExplainMatchesExecute(explain.value(), scan.stats(), context);
+        }
+      }
+    }
   }
 }
 

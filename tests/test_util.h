@@ -14,6 +14,7 @@
 #include "core/query.h"
 #include "core/scan.h"
 #include "encoding/bitpack.h"
+#include "obs/plan_explain.h"
 #include "storage/table.h"
 
 namespace bipie::test {
@@ -237,6 +238,39 @@ struct StatsInvariants {
            stats.selection.special_group + stats.selection.unfiltered;
   }
 };
+
+// Explain-equals-execute oracle (DESIGN.md §12): after a successful
+// Execute() of a scan, the scan's Explain() must predict what ran — the
+// hash-fallback decision, and (for a specialized scan) exactly the
+// per-segment aggregation strategies ScanStats counted. Both come from one
+// PlanScan, so a violation means execution departed from its plan.
+// Returns violation messages; empty means the two agree.
+inline std::vector<std::string> ExplainMatchesExecute(
+    const PlanExplain& explain, const ScanStats& stats) {
+  std::vector<std::string> v;
+  if (explain.hash_fallback != stats.used_hash_fallback) {
+    v.push_back(std::string("explain predicts hash_fallback=") +
+                (explain.hash_fallback ? "true" : "false") +
+                " but execute used_hash_fallback=" +
+                (stats.used_hash_fallback ? "true" : "false"));
+  }
+  if (stats.used_hash_fallback) return v;
+  size_t planned[kNumAggregationStrategies] = {0};
+  for (const SegmentExplain& seg : explain.segments) {
+    if (seg.eliminated || !seg.bind_ok) continue;
+    ++planned[static_cast<int>(seg.decision.aggregation)];
+  }
+  for (int a = 0; a < kNumAggregationStrategies; ++a) {
+    if (planned[a] != stats.aggregation_segments[a]) {
+      v.push_back(std::string("explain plans ") + std::to_string(planned[a]) +
+                  " " +
+                  AggregationStrategyName(static_cast<AggregationStrategy>(a)) +
+                  " segments, execute counted " +
+                  std::to_string(stats.aggregation_segments[a]));
+    }
+  }
+  return v;
+}
 
 // ExecuteQuery with the stats invariants asserted on every successful scan:
 // a violation surfaces as an Internal error carrying the violation text, so

@@ -502,8 +502,11 @@ std::vector<Plan> MakePlans(const CaseParams& p) {
   std::vector<Plan> plans;
   plans.push_back({"adaptive/t1", {}});
   if (p.num_threads == 0) {
+    // 4096-row morsels split every segment above one batch, so several
+    // morsels bind the same shared segment plan.
     Plan pool{"adaptive/pool", {}};
     pool.options.num_threads = 0;
+    pool.options.morsel_rows = 4096;
     plans.push_back(std::move(pool));
   } else if (p.num_threads > 1) {
     Plan mt{"adaptive/t" + std::to_string(p.num_threads), {}};
@@ -544,30 +547,6 @@ std::vector<Plan> MakePlans(const CaseParams& p) {
     plan.options.overrides.byteslice = on;
     plans.push_back(std::move(plan));
   }
-  // Cost-model differential (DESIGN.md §17): adaptive plans with the model
-  // consulted for strategy choice and byteslice admission, under the same
-  // execution models as the plain adaptive plan. The model only redirects
-  // among correct strategies, so results must stay byte-identical.
-  if (p.cost_model != 0) {
-    const CostModelMode mode = p.cost_model == 1 ? CostModelMode::kOn
-                                                 : CostModelMode::kAdaptive;
-    const std::string mode_name = CostModelModeName(mode);
-    Plan t1{"cost-model-" + mode_name + "/t1", {}};
-    t1.options.overrides.cost_model = mode;
-    plans.push_back(std::move(t1));
-    if (p.num_threads == 0) {
-      Plan pool{"cost-model-" + mode_name + "/pool", {}};
-      pool.options.num_threads = 0;
-      pool.options.overrides.cost_model = mode;
-      plans.push_back(std::move(pool));
-    } else if (p.num_threads > 1) {
-      Plan mt{"cost-model-" + mode_name + "/t" + std::to_string(p.num_threads),
-              {}};
-      mt.options.num_threads = p.num_threads;
-      mt.options.overrides.cost_model = mode;
-      plans.push_back(std::move(mt));
-    }
-  }
   return plans;
 }
 
@@ -586,7 +565,6 @@ std::string CaseParams::ToString() const {
      << " failpoint_prob=" << failpoint_prob
      << " sorted_fraction=" << sorted_fraction
      << " memory_limit=" << memory_limit
-     << " cost_model=" << cost_model
      << " isa_tier=" << IsaTierName(static_cast<IsaTier>(isa_tier))
      << " expr_shapes=" << expr_shapes << " divisors=" << divisors[0];
   for (size_t c = 1; c < divisors.size(); ++c) os << "," << divisors[c];
@@ -647,17 +625,15 @@ CaseParams MakeCaseParams(uint64_t seed) {
   // kResourceExhausted path and the governed-success path stay hot.
   p.memory_limit =
       rng.NextBernoulli(0.2) ? 4096 + rng.NextBounded(uint64_t{1} << 22) : 0;
-  // Cost-model consultation sweeps all three modes evenly, so model-driven
-  // admission (strategy choice, byteslice, run pipeline) diffs against the
-  // oracle across the whole shape matrix. Drawn last: earlier fields keep
-  // their per-seed values from before the knob existed.
-  p.cost_model = static_cast<int>(rng.NextBounded(3));
+  // A retired knob's draw, kept so the fields below keep their per-seed
+  // values.
+  rng.NextBounded(3);
   // Every ISA tier evenly (the scan clamps to what the hardware offers), so
-  // each kernel tier diffs against the scalar-tier oracle. Drawn last for
-  // the same reason as cost_model.
+  // each kernel tier diffs against the scalar-tier oracle. Drawn last:
+  // earlier fields keep their per-seed values from before the knob existed.
   p.isa_tier = static_cast<int>(rng.NextBounded(3));
   // Half the cases add the plan-targeted expression shapes. Drawn last for
-  // the same reason as cost_model.
+  // the same reason as isa_tier.
   p.expr_shapes = static_cast<int>(rng.NextBounded(2));
   // Grid divisors come from their own stream, so every field above keeps
   // its per-seed value. Half the columns stay ungridded; the others get a
@@ -729,8 +705,6 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
         p.sorted_fraction = std::stod(val);
       } else if (key == "memory_limit") {
         p.memory_limit = std::stoull(val);
-      } else if (key == "cost_model") {
-        p.cost_model = std::stoi(val);
       } else if (key == "expr_shapes") {
         p.expr_shapes = std::stoi(val);
       } else if (key == "divisors") {
@@ -811,9 +785,7 @@ bool RunOneCase(const CaseParams& p, std::string* error) {
     auto got = scan.Execute();
     if (!got.ok()) {
       const StatusCode code = got.status().code();
-      const bool forced = plan.options.overrides.selection.has_value() ||
-                          plan.options.overrides.aggregation.has_value() ||
-                          plan.options.overrides.byteslice.has_value();
+      const bool forced = plan.options.overrides.any();
       // Forced plans may reject shapes outside their envelope; the checked
       // scalar path may abort instead of overflowing. Anything else is a
       // bug, as is a clean rejection from the adaptive plan (it must fall
@@ -836,6 +808,19 @@ bool RunOneCase(const CaseParams& p, std::string* error) {
     if (!stats_violations.empty()) {
       *error = plan.name + ": " +
                test::StatsInvariants::Describe(stats_violations);
+      return false;
+    }
+    // Explain and Execute share one plan: what Explain predicts is what
+    // ran, per segment strategy and for the hash fallback.
+    auto explain = scan.Explain();
+    if (!explain.ok()) {
+      *error = plan.name + ": explain failed " + explain.status().ToString();
+      return false;
+    }
+    const std::vector<std::string> explain_violations =
+        test::ExplainMatchesExecute(explain.value(), scan.stats());
+    if (!explain_violations.empty()) {
+      *error = plan.name + ": " + explain_violations[0];
       return false;
     }
     std::string diff;
@@ -965,7 +950,6 @@ CaseParams Shrink(const CaseParams& p) {
     if (best.memory_limit > 0) {
       add([](CaseParams& c) { c.memory_limit = 0; });
     }
-    if (best.cost_model != 0) add([](CaseParams& c) { c.cost_model = 0; });
     if (best.isa_tier != 0) add([](CaseParams& c) { c.isa_tier = 0; });
     if (best.expr_shapes != 0) add([](CaseParams& c) { c.expr_shapes = 0; });
     for (size_t d = 0; d < best.divisors.size(); ++d) {

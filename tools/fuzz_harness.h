@@ -69,11 +69,6 @@ struct CaseParams {
                               // kResourceExhausted — never a partial
                               // aggregate, never a crash — with the query
                               // tracker balanced at zero afterwards
-  int cost_model = 0;  // 0 = off, 1 = on, 2 = adaptive: >0 adds adaptive
-                       // plans that consult the calibrated cost model
-                       // (DESIGN.md §17) for strategy and byteslice
-                       // admission — model-driven plans must stay
-                       // byte-identical to the oracle like every other plan
   int isa_tier = 2;  // Vector Toolbox tier every plan runs at: 0 = scalar,
                      // 1 = avx2, 2 = avx512 (clamped to the hardware). The
                      // oracle always runs at the scalar tier, before the
@@ -114,15 +109,17 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
 //     logical values),
 //   * everything below at p.isa_tier,
 //   * the adaptive plan inline plus (per p.num_threads) on the shared
-//     morsel pool or with legacy per-query threads,
+//     morsel pool, in 4096-row morsels, or with legacy per-query threads,
 //   * every selection x aggregation override combination, plus each
 //     selection-only and aggregation-only override,
 //   * when p.cancel_after > 0, a cancellation pass per execution model:
 //     a context that cancels after p.cancel_after checks must yield
 //     kCancelled or the exact oracle result, never a partial one.
 // A plan may reject cleanly with kNotSupported (infeasible strategy for the
-// shape) or abort with kOverflowRisk (checked path); any other error, or any
-// result row differing from the oracle, is a failure. Returns true when the
+// shape) or abort with kOverflowRisk (checked path); any other error, any
+// result row differing from the oracle, or an Explain() of a successful
+// plan that does not predict the strategies and fallback Execute() used,
+// is a failure. Returns true when the
 // case is green; otherwise fills *error with a human-readable diagnosis.
 bool RunOneCase(const CaseParams& p, std::string* error);
 

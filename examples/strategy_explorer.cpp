@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
               adaptive.stats().selection.gather,
               adaptive.stats().selection.compact,
               adaptive.stats().selection.special_group);
-  for (int a = 0; a < 5; ++a) {
+  for (int a = 0; a < kNumAggregationStrategies; ++a) {
     if (adaptive.stats().aggregation_segments[a] > 0) {
       std::printf("%s ",
                   AggregationStrategyName(static_cast<AggregationStrategy>(a)));

@@ -68,6 +68,13 @@ Status AggregateProcessor::Bind(const SegmentPlan& plan) {
         multi_agg_.Configure(descs, geff, &scratch_->accumulators));
     multi_agg_ready_ = true;
   }
+  code_acc_ = nullptr;
+  if (plan.aggregation() == AggregationStrategy::kCodeKeyed) {
+    scratch_->accumulators.Resize(size_t{4} * plan.code_keyed().num_keys *
+                                  sizeof(uint64_t));
+    scratch_->accumulators.ZeroFill();
+    code_acc_ = scratch_->accumulators.data_as<uint64_t>();
+  }
   return Status::OK();
 }
 
@@ -158,54 +165,67 @@ void AggregateProcessor::EvaluatePlan(size_t start, size_t n,
   expr_plan.Run(slots_, m);
 }
 
-size_t AggregateProcessor::BuildDenseBatch(size_t start, size_t n,
-                                           const uint8_t* sel,
-                                           BatchMode mode) {
+size_t AggregateProcessor::MapGroups(size_t start, size_t n,
+                                     const uint8_t* sel, BatchMode mode,
+                                     const uint32_t** indices) {
   const int num_groups = mapper().num_groups();
   scratch_->groups.Resize(n);
   uint8_t* groups = scratch_->groups.data();
-
-  size_t m = n;
-  const uint32_t* indices = nullptr;
+  *indices = nullptr;
   if (mode == BatchMode::kGather) {
     scratch_->indices.Resize((n + 8) * sizeof(uint32_t));
-    m = CompactToIndexVector(sel, n, scratch_->indices.data_as<uint32_t>());
-    indices = scratch_->indices.data_as<uint32_t>();
-    mapper().MapSelected(start, indices, m, groups, &scratch_->group_ids);
-  } else {
-    mapper().MapBatch(start, n, groups, &scratch_->group_ids);
-    if (mode == BatchMode::kSpecialGroup) {
-      ApplySpecialGroup(groups, sel, n,
-                        static_cast<uint8_t>(num_groups), groups);
-    } else if (mode == BatchMode::kCompact) {
-      scratch_->compact.Resize(n);
-      m = CompactValues(sel, groups, n, 1, scratch_->compact.data());
-      std::memcpy(groups, scratch_->compact.data(), m);
-    }
+    const size_t m =
+        CompactToIndexVector(sel, n, scratch_->indices.data_as<uint32_t>());
+    *indices = scratch_->indices.data_as<uint32_t>();
+    mapper().MapSelected(start, *indices, m, groups, &scratch_->group_ids);
+    return m;
   }
+  mapper().MapBatch(start, n, groups, &scratch_->group_ids);
+  if (mode == BatchMode::kSpecialGroup) {
+    ApplySpecialGroup(groups, sel, n, static_cast<uint8_t>(num_groups),
+                      groups);
+  } else if (mode == BatchMode::kCompact) {
+    scratch_->compact.Resize(n);
+    const size_t m = CompactValues(sel, groups, n, 1, scratch_->compact.data());
+    std::memcpy(groups, scratch_->compact.data(), m);
+    return m;
+  }
+  return n;
+}
 
+void AggregateProcessor::SelectIds(const EncodedColumn& col, size_t start,
+                                   size_t n, const uint8_t* sel,
+                                   const uint32_t* indices, size_t m,
+                                   BatchMode mode, int word, void* dst) {
+  switch (mode) {
+    case BatchMode::kFull:
+    case BatchMode::kSpecialGroup:
+      col.UnpackIds(start, n, dst, word);
+      break;
+    case BatchMode::kGather:
+      GatherSelect(RebasedPacked(col, start), col.bit_width(), indices, m,
+                   dst, word);
+      break;
+    case BatchMode::kCompact:
+      scratch_->compact.Resize(n * static_cast<size_t>(word));
+      col.UnpackIds(start, n, scratch_->compact.data(), word);
+      CompactValues(sel, scratch_->compact.data(), n, word, dst);
+      break;
+  }
+}
+
+size_t AggregateProcessor::BuildDenseBatch(size_t start, size_t n,
+                                           const uint8_t* sel,
+                                           BatchMode mode) {
+  const uint32_t* indices = nullptr;
+  const size_t m = MapGroups(start, n, sel, mode, &indices);
   PrepareSlots(n);
   EvaluatePlan(start, n, sel, indices, m, mode);
   for (const AggregateInput& input : plan_->inputs()) {
     if (input.value_slot < 0) continue;
     // Raw bit-packed input, in the offset domain.
-    const int word = input.word_bytes;
-    uint8_t* values = ValueSlot(input);
-    switch (mode) {
-      case BatchMode::kFull:
-      case BatchMode::kSpecialGroup:
-        input.column->UnpackIds(start, n, values, word);
-        break;
-      case BatchMode::kGather:
-        GatherSelect(RebasedPacked(*input.column, start), input.bit_width,
-                     indices, m, values, word);
-        break;
-      case BatchMode::kCompact:
-        scratch_->compact.Resize(n * static_cast<size_t>(word));
-        input.column->UnpackIds(start, n, scratch_->compact.data(), word);
-        CompactValues(sel, scratch_->compact.data(), n, word, values);
-        break;
-    }
+    SelectIds(*input.column, start, n, sel, indices, m, mode,
+              input.word_bytes, ValueSlot(input));
   }
   return m;
 }
@@ -242,6 +262,8 @@ Status AggregateProcessor::ProcessBatch(size_t start, size_t n,
       return ProcessScalar(start, n, sel, mode, /*checked=*/false);
     case AggregationStrategy::kCheckedScalar:
       return ProcessScalar(start, n, sel, mode, /*checked=*/true);
+    case AggregationStrategy::kCodeKeyed:
+      return ProcessCodeKeyed(start, n, sel, mode);
     case AggregationStrategy::kRunBased:
       // The run pipeline drives ProcessRunSpan directly; the batch entry
       // point has no row-level configuration to fall back on.
@@ -450,6 +472,71 @@ Status AggregateProcessor::ProcessScalar(size_t start, size_t n,
   return Status::OK();
 }
 
+Status AggregateProcessor::ProcessCodeKeyed(size_t start, size_t n,
+                                            const uint8_t* sel,
+                                            BatchMode mode) {
+  const CodeKeyedLayout& layout = plan_->code_keyed();
+  const uint32_t* indices = nullptr;
+  const size_t m = MapGroups(start, n, sel, mode, &indices);
+  // Batch layout in the slot scratch: carrier offsets (4 bytes), key codes
+  // (1 byte), then the 16-bit keys, each array padded to whole lines.
+  const size_t rows = (n + 63) & ~size_t{63};
+  const size_t num_carriers = layout.carriers.size();
+  const size_t num_codes = layout.keys.size();
+  scratch_->slots.Resize(rows * (4 * num_carriers + num_codes + 2));
+  uint8_t* next = scratch_->slots.data();
+  const uint32_t* carriers[kMaxCodeKeyCarriers];
+  for (size_t j = 0; j < num_carriers; ++j) {
+    SelectIds(*layout.carriers[j], start, n, sel, indices, m, mode, 4, next);
+    carriers[j] = reinterpret_cast<const uint32_t*>(next);
+    next += 4 * rows;
+  }
+  // At most log2(kMaxCodeKeys) columns have two or more codes.
+  const uint8_t* codes[16];
+  uint32_t strides[16];
+  BIPIE_DCHECK(num_codes <= 16);
+  for (size_t k = 0; k < num_codes; ++k) {
+    SelectIds(*layout.keys[k].column, start, n, sel, indices, m, mode, 1,
+              next);
+    codes[k] = next;
+    strides[k] = layout.keys[k].stride;
+    next += rows;
+  }
+  auto* keys = reinterpret_cast<uint16_t*>(next);
+  FormCodeKeys(scratch_->groups.data(), layout.tuples, codes, strides,
+               static_cast<int>(num_codes), m, keys);
+  KeyedRowSum(keys, carriers, static_cast<int>(num_carriers), m, code_acc_);
+  return Status::OK();
+}
+
+void AggregateProcessor::FinishCodeKeyed() {
+  // Every sum is the fold of its coefficients over the group's tuples:
+  // sum = sum_c B(c) * N(c) + sum_j A_j(c) * S_j(c), exact modulo 2^64, and
+  // so exact outright under the segment's overflow proof.
+  const CodeKeyedLayout& layout = plan_->code_keyed();
+  const int num_groups = mapper().num_groups();
+  const size_t stride = static_cast<size_t>(num_groups) + 1;
+  const size_t lanes = 1 + layout.carriers.size();
+  const std::vector<int>& sum_inputs = plan_->sum_inputs();
+  for (int g = 0; g < num_groups; ++g) {
+    for (uint32_t c = 0; c < layout.tuples; ++c) {
+      const uint64_t* acc =
+          code_acc_ + 4 * (static_cast<size_t>(g) * layout.tuples + c);
+      if (acc[0] == 0) continue;
+      counts_[g] += acc[0];
+      for (size_t k = 0; k < sum_inputs.size(); ++k) {
+        const uint64_t* coef = layout.coefficients.data() +
+                               (k * layout.tuples + c) * lanes;
+        uint64_t sum = 0;
+        for (size_t j = 0; j < lanes; ++j) sum += coef[j] * acc[j];
+        auto& total = reinterpret_cast<uint64_t&>(
+            sums_[static_cast<size_t>(sum_inputs[k]) * stride + g]);
+        total += sum;
+      }
+    }
+  }
+}
+
 void AggregateProcessor::ProcessMinMaxDense(size_t m, int geff) {
   const size_t stride = static_cast<size_t>(mapper().num_groups()) + 1;
   const uint8_t* groups = scratch_->groups.data();
@@ -541,6 +628,7 @@ Status AggregateProcessor::Finish(SegmentResult* out) {
       }
     }
   }
+  if (code_acc_ != nullptr) FinishCodeKeyed();
   const std::vector<int>& spec_to_input = plan_->spec_to_input();
   const size_t num_specs = spec_to_input.size();
   out->num_groups = num_groups;

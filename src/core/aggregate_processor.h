@@ -45,7 +45,8 @@ struct AggregateScratch {
   AlignedBuffer indices;       // selection index vector (gather, sort)
   AlignedBuffer compact;       // full-window decode ahead of compaction
   AlignedBuffer slots;         // expression-plan slots, then raw values
-  AlignedBuffer accumulators;  // multi-aggregate sums
+                               // (code-keyed: carriers, codes, keys)
+  AlignedBuffer accumulators;  // multi-aggregate / code-keyed sums
   AlignedBuffer group_ids;     // the group mapper's second-column ids
 
   // Registers every buffer with this thread's re-home list. The scratch
@@ -110,6 +111,17 @@ class AggregateProcessor {
 
   BatchMode PickBatchMode(size_t n, size_t selected, const uint8_t* sel);
 
+  // Maps the window's group ids into scratch_->groups, densely for the
+  // mode: the selected rows for gather (whose index vector *indices then
+  // points to) and compaction, every row otherwise, rejected ones moved to
+  // the special group under kSpecialGroup. Returns the dense row count.
+  size_t MapGroups(size_t start, size_t n, const uint8_t* sel, BatchMode mode,
+                   const uint32_t** indices);
+  // Unpacks the ids/offsets of `col` for the same dense rows at `word`
+  // bytes each.
+  void SelectIds(const EncodedColumn& col, size_t start, size_t n,
+                 const uint8_t* sel, const uint32_t* indices, size_t m,
+                 BatchMode mode, int word, void* dst);
   // Builds dense group ids + per-input dense decoded arrays for the modes
   // that need them (in-register / multi / scalar). Returns the dense row
   // count.
@@ -142,6 +154,11 @@ class AggregateProcessor {
                           BatchMode mode);
   Status ProcessScalar(size_t start, size_t n, const uint8_t* sel,
                        BatchMode mode, bool checked);
+  // kCodeKeyed (DESIGN.md §20): per-(group, code tuple) row counts and
+  // carrier offset sums; Finish folds them with the plan's coefficients.
+  Status ProcessCodeKeyed(size_t start, size_t n, const uint8_t* sel,
+                          BatchMode mode);
+  void FinishCodeKeyed();
 
   // MIN/MAX extrema for every dense-mode row batch; value pointers follow
   // the same expr/raw rules the scalar strategy uses.
@@ -159,6 +176,8 @@ class AggregateProcessor {
 
   MultiAggregator multi_agg_;
   bool multi_agg_ready_ = false;
+  // kCodeKeyed: four uint64 lanes per key, in scratch_->accumulators.
+  uint64_t* code_acc_ = nullptr;
   SortedBatch sorted_batch_;
 
   AggregateScratch own_scratch_;

@@ -393,12 +393,17 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
   size_t morsel_rows =
       options_.morsel_rows == 0 ? kDefaultMorselRows : options_.morsel_rows;
   morsel_rows = (morsel_rows + kBatchRows - 1) / kBatchRows * kBatchRows;
-  // Under a predicted hash fallback the planned segments still run: a real
-  // error there (a checked-scalar overflow the hash engine could not see)
-  // outranks the fallback.
+  // Under a predicted hash fallback only checked-scalar segments run: an
+  // overflow they find (which the hash engine cannot see) outranks the
+  // fallback, and nothing else they could compute would be kept.
+  const bool fallback = plan.hash_fallback();
   std::vector<Morsel> morsels;
   for (const SegmentPlan& segment_plan : plan.segments) {
     if (segment_plan.eliminated() || !segment_plan.status().ok()) continue;
+    if (fallback &&
+        segment_plan.aggregation() != AggregationStrategy::kCheckedScalar) {
+      continue;
+    }
     stats_.aggregation_segments[static_cast<int>(
         segment_plan.aggregation())]++;
     const size_t rows = segment_plan.segment().num_rows();

@@ -22,6 +22,89 @@ int GroupCapacity(AggregationStrategy s) {
   }
 }
 
+// Code-keyed capability (DESIGN.md §20). Sorts the columns SUM inputs read
+// into keys (integer codes of a small segment domain) and carriers (every
+// other column, read as bit-packed offsets), then checks the shape: every
+// input affine in the carriers, at most kMaxCodeKeyCarriers of them, and
+// at most kMaxCodeKeys accumulators. `ck->incapable` stays empty when the
+// segment is capable.
+void PlanCodeKeyed(const Table& table, const Segment& segment,
+                   const std::vector<AggregateInput>& inputs,
+                   int groups_for_choice, CodeKeyedInputs* ck) {
+  ExprPlan shape;
+  std::vector<int> roots;
+  std::vector<int> cols;
+  for (const AggregateInput& input : inputs) {
+    if (input.op != AggregateInput::Op::kSum) {
+      ck->incapable = "MIN/MAX aggregates";
+      return;
+    }
+    const ExprPtr expr =
+        input.is_expr ? input.expr : Expr::Column(input.column_index);
+    roots.push_back(shape.Add(*expr));
+    expr->CollectColumns(&cols);
+  }
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+
+  std::vector<bool> is_key(table.num_columns(), false);
+  std::vector<bool> is_carrier(table.num_columns(), false);
+  int64_t tuples = 1;
+  for (const int c : cols) {
+    const EncodedColumn& col = segment.column(static_cast<size_t>(c));
+    const bool integer = col.type() == ColumnType::kInt64;
+    const bool coded = integer && (col.encoding() == Encoding::kBitPacked ||
+                                   col.encoding() == Encoding::kDictionary);
+    if (coded && col.id_bound() <= kMaxCodeKeyDomain) {
+      is_key[c] = true;
+      ck->key_columns.push_back(c);
+      ck->key_domains.push_back(static_cast<int>(col.id_bound()));
+      tuples = std::min<int64_t>(tuples * static_cast<int64_t>(col.id_bound()),
+                                 int64_t{kMaxCodeKeys} + 1);
+    } else if (integer && col.encoding() == Encoding::kBitPacked &&
+               col.bit_width() <= 32) {
+      is_carrier[c] = true;
+      ck->carrier_columns.push_back(c);
+    } else if (ck->incapable.empty()) {
+      ck->incapable = table.schema()[c].name +
+                      " is neither a key of <= " +
+                      std::to_string(kMaxCodeKeyDomain) +
+                      " codes nor a bit-packed carrier of <= 32 bits";
+    }
+  }
+  ck->num_keys = static_cast<int>(
+      std::min<int64_t>(groups_for_choice * tuples, int64_t{1} << 30));
+  for (const int root : roots) {
+    if (shape.MultipliesBy(root, is_key)) ck->multiplies_by_key = true;
+  }
+  if (!ck->incapable.empty()) return;
+  if (static_cast<int>(ck->carrier_columns.size()) > kMaxCodeKeyCarriers) {
+    ck->incapable = std::to_string(ck->carrier_columns.size()) +
+                    " carrier columns exceed " +
+                    std::to_string(kMaxCodeKeyCarriers);
+    return;
+  }
+  for (const int root : roots) {
+    if (shape.Degree(root, is_carrier) > 1) {
+      ck->incapable = "an input is not affine in its carrier columns";
+      return;
+    }
+  }
+  if (ck->num_keys > kMaxCodeKeys) {
+    ck->incapable = std::to_string(ck->num_keys) + " keys exceed the " +
+                    std::to_string(kMaxCodeKeys) + " cap";
+  }
+}
+
+// The logical value of code (id or offset) `code` of an integer column.
+uint64_t LogicalValue(const EncodedColumn& col, uint64_t code) {
+  if (col.encoding() == Encoding::kDictionary) {
+    return static_cast<uint64_t>(
+        col.int_dictionary()->value(static_cast<uint32_t>(code)));
+  }
+  return static_cast<uint64_t>(col.base()) + col.scale() * code;
+}
+
 }  // namespace
 
 SegmentPlan::SegmentPlan(const Table& table, size_t segment_index,
@@ -257,6 +340,11 @@ Status SegmentPlan::Build(const Table& table, const QuerySpec& query,
                                      col.meta().max));
   }
 
+  // Code-keyed admission (DESIGN.md §20): capable by shape, admitted when
+  // it removes a per-row multiply by a key column.
+  CodeKeyedInputs code_keyed;
+  PlanCodeKeyed(table, segment, inputs_, groups_for_choice, &code_keyed);
+
   // Record the decision inputs before any feasibility check can reject the
   // plan, so an explain of a forced infeasible plan still shows what drove
   // the rejection.
@@ -282,6 +370,10 @@ Status SegmentPlan::Build(const Table& table, const QuerySpec& query,
                              ? *overrides.byteslice
                              : ByteSliceAdmitted(bs_in);
   d.forced_byteslice = overrides.byteslice;
+  d.code_keyed_capable = code_keyed.incapable.empty();
+  d.code_keyed_admitted =
+      d.code_keyed_capable && code_keyed.multiplies_by_key;
+  d.code_keyed = std::move(code_keyed);
 
   if (overrides.byteslice.has_value() && *overrides.byteslice &&
       !d.byteslice_capable) {
@@ -319,8 +411,15 @@ Status SegmentPlan::Build(const Table& table, const QuerySpec& query,
     if (strategy == AggregationStrategy::kSortBased && num_sums == 0) {
       return Status::NotSupported("sort-based strategy needs >= 1 sum");
     }
+    if (strategy == AggregationStrategy::kCodeKeyed &&
+        !d.code_keyed_capable) {
+      return Status::NotSupported("code-keyed aggregation infeasible: " +
+                                  d.code_keyed.incapable);
+    }
   } else if (d.run_admitted) {
     strategy = AggregationStrategy::kRunBased;
+  } else if (d.code_keyed_admitted) {
+    strategy = AggregationStrategy::kCodeKeyed;
   } else {
     strategy = ChooseAggregationStrategy(groups_for_choice, num_sums,
                                          max_value_bits, expected_selectivity,
@@ -331,12 +430,15 @@ Status SegmentPlan::Build(const Table& table, const QuerySpec& query,
       may_use_special && num_groups + 1 <= GroupCapacity(strategy);
 
   // --- per-strategy input decode widths -------------------------------------
-  const bool scalar_like = strategy == AggregationStrategy::kScalar ||
-                           strategy == AggregationStrategy::kCheckedScalar;
+  // Code-keyed plans read every input's logical values too, once, at
+  // coefficient time.
+  const bool logical_inputs = strategy == AggregationStrategy::kScalar ||
+                              strategy == AggregationStrategy::kCheckedScalar ||
+                              strategy == AggregationStrategy::kCodeKeyed;
   for (AggregateInput& input : inputs_) {
     const bool wide_minmax = input.op != AggregateInput::Op::kSum &&
                              !input.is_expr && input.bit_width > 32;
-    if ((scalar_like || wide_minmax) && !input.is_expr) {
+    if ((logical_inputs || wide_minmax) && !input.is_expr) {
       // Scalar paths (and extrema over >32-bit offsets) aggregate logical
       // int64 values directly.
       input.is_expr = true;
@@ -410,7 +512,42 @@ Status SegmentPlan::Build(const Table& table, const QuerySpec& query,
     }
   }
   expr_plan_.Finalize();
+  if (strategy == AggregationStrategy::kCodeKeyed) BuildCodeKeyed();
   return Status::OK();
+}
+
+void SegmentPlan::BuildCodeKeyed() {
+  const CodeKeyedInputs& in = decision_.code_keyed;
+  CodeKeyedLayout& layout = code_keyed_;
+  // Mixed-radix tuple index: key column k weighs the product of the
+  // domains before it.
+  std::vector<ExprPlan::AffineColumn> columns(segment_->num_columns());
+  uint32_t tuples = 1;
+  for (size_t k = 0; k < in.key_columns.size(); ++k) {
+    const EncodedColumn& col = segment_->column(in.key_columns[k]);
+    ExprPlan::AffineColumn& key = columns[in.key_columns[k]];
+    for (int code = 0; code < in.key_domains[k]; ++code) {
+      key.values.push_back(
+          static_cast<int64_t>(LogicalValue(col, static_cast<uint64_t>(code))));
+    }
+    key.stride = tuples;
+    if (in.key_domains[k] > 1) layout.keys.push_back({&col, tuples});
+    tuples *= static_cast<uint32_t>(in.key_domains[k]);
+  }
+  layout.tuples = tuples;
+  layout.num_keys = static_cast<uint32_t>(in.num_keys);
+  for (size_t j = 0; j < in.carrier_columns.size(); ++j) {
+    const EncodedColumn& col = segment_->column(in.carrier_columns[j]);
+    ExprPlan::AffineColumn& carrier = columns[in.carrier_columns[j]];
+    carrier.carrier = static_cast<int>(j);
+    carrier.zero = col.base();
+    carrier.step = col.scale();
+    layout.carriers.push_back(&col);
+  }
+  std::vector<int> roots;
+  for (const int i : sum_inputs_) roots.push_back(inputs_[i].node);
+  layout.coefficients = expr_plan_.AffineCoefficients(
+      roots, columns, tuples, static_cast<int>(layout.carriers.size()));
 }
 
 void FoldFailure(const Status& next, Status* failure) {
@@ -432,6 +569,7 @@ Result<ScanPlan> PlanScan(const Table& table, const QuerySpec& query,
       return Status::InvalidArgument("unknown filter column: " +
                                      pred.column_name());
     }
+    BIPIE_RETURN_NOT_OK(pred.CheckColumnType(table.schema()[idx].type));
     plan.filter_cols.push_back(idx);
   }
 

@@ -53,6 +53,27 @@ struct AggregateInput {
   int value_slot = -1;
 };
 
+// What kCodeKeyed aggregation (DESIGN.md §20) needs per batch and at
+// Finish, prepared once per segment. A row's accumulator key is
+// group * tuples + sum_k code_k * stride_k, its code tuple the second term.
+struct CodeKeyedLayout {
+  struct Key {
+    const EncodedColumn* column = nullptr;
+    uint32_t stride = 1;
+  };
+  // Key columns with more than one code (a one-code column is its base
+  // value in every row and needs no per-row work).
+  std::vector<Key> keys;
+  std::vector<const EncodedColumn*> carriers;
+  uint32_t tuples = 1;    // code tuples per group: product of key domains
+  uint32_t num_keys = 0;  // (groups + special slot) x tuples
+  // coefficients[(k * tuples + c) * (1 + carriers) + j], for the k-th SUM
+  // input (sum_inputs() order) and code tuple c: j = 0 is B(c), the
+  // input's value with every carrier at offset 0; j >= 1 is A_j(c), what
+  // one step of carrier j - 1's offset adds. Wrapping uint64.
+  std::vector<uint64_t> coefficients;
+};
+
 class SegmentPlan {
  public:
   // Plans segment `segment_index` of `table` for `query`. Planning never
@@ -92,10 +113,14 @@ class SegmentPlan {
   const std::vector<int>& spec_to_input() const { return spec_to_input_; }
   // Dense value arrays raw inputs need per batch, after the plan's slots.
   int num_value_slots() const { return num_value_slots_; }
+  // Filled when aggregation() is kCodeKeyed.
+  const CodeKeyedLayout& code_keyed() const { return code_keyed_; }
 
  private:
   Status Build(const Table& table, const QuerySpec& query,
                const StrategyOverrides& overrides);
+  // Fills code_keyed_ from decision_.code_keyed and the finalized plan.
+  void BuildCodeKeyed();
 
   size_t segment_index_ = 0;
   const Segment* segment_ = nullptr;
@@ -108,6 +133,7 @@ class SegmentPlan {
   std::vector<int> sum_inputs_;
   std::vector<int> spec_to_input_;
   int num_value_slots_ = 0;
+  CodeKeyedLayout code_keyed_;
 };
 
 // Failure precedence, shared by planning and execution. Folds the next
@@ -143,7 +169,8 @@ struct ScanPlan {
 
 // Plans every non-empty segment of `table` for `query`: elimination first
 // (when enabled), then a SegmentPlan per surviving segment. Fails only on
-// an unknown filter column.
+// a filter no segment could evaluate: an unknown column, or an operator
+// its column type cannot run (ColumnPredicate::CheckColumnType).
 Result<ScanPlan> PlanScan(const Table& table, const QuerySpec& query,
                           const StrategyOverrides& overrides,
                           bool enable_segment_elimination);

@@ -33,6 +33,8 @@ const char* AggregationStrategyName(AggregationStrategy s) {
       return "checked-scalar";
     case AggregationStrategy::kRunBased:
       return "run-based";
+    case AggregationStrategy::kCodeKeyed:
+      return "code-keyed";
   }
   return "?";
 }

@@ -12,6 +12,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <vector>
 
 namespace bipie {
 
@@ -33,10 +35,13 @@ enum class AggregationStrategy {
   kRunBased,        // run-level execution (DESIGN.md §11): aggregate
                     // (group, row-range) spans instead of rows when group
                     // columns are RLE/constant and filters reduce to runs
+  kCodeKeyed,       // code-keyed aggregation (DESIGN.md §20): count rows
+                    // and sum carrier offsets per (group, small-domain code
+                    // tuple); sums follow from per-tuple coefficients
 };
 
 // Number of AggregationStrategy values (sizes ScanStats counters).
-inline constexpr int kNumAggregationStrategies = 6;
+inline constexpr int kNumAggregationStrategies = 7;
 
 const char* SelectionStrategyName(SelectionStrategy s);
 const char* AggregationStrategyName(AggregationStrategy s);
@@ -165,6 +170,37 @@ double EstimatePredicateSelectivity(CompareOp op, int64_t literal,
                                     int64_t literal2, int64_t min,
                                     int64_t max);
 
+// --- code-keyed admission (DESIGN.md §20) ----------------------------------
+//
+// When every SUM input is affine in its wide ("carrier") columns and its
+// other columns have few codes per segment, each sum is an exact function
+// of per-(group, code tuple) row counts and carrier offset sums. The scan
+// then never decodes, multiplies or stores an 8-byte value per row.
+
+// Largest segment code domain (id_bound) of a key column.
+inline constexpr uint64_t kMaxCodeKeyDomain = 16;
+// Most distinct carrier columns: with the row count they fill the four
+// 64-bit lanes of one accumulator.
+inline constexpr int kMaxCodeKeyCarriers = 3;
+// Most accumulators per segment: (groups + special slot) x product of the
+// key domains. Set from bench_code_keyed (EXPERIMENTS.md).
+inline constexpr int kMaxCodeKeys = 1024;
+
+struct CodeKeyedInputs {
+  // Table column index and code domain of each key column, ascending by
+  // column; carriers are the other columns SUM inputs read.
+  std::vector<int> key_columns;
+  std::vector<int> key_domains;
+  std::vector<int> carrier_columns;
+  // (groups + special slot) x product of the key domains.
+  int num_keys = 0;
+  // Some SUM input multiplies by a key column: the per-row multiply the
+  // strategy removes (adaptive admission).
+  bool multiplies_by_key = false;
+  // Why the segment is not capable; empty when it is.
+  std::string incapable;
+};
+
 // --- plan introspection (DESIGN.md §12) ------------------------------------
 //
 // Every input that drove one segment's strategy resolution, recorded by
@@ -205,6 +241,11 @@ struct PlanDecision {
   bool byteslice_capable = false;
   bool byteslice_admitted = false;
   std::optional<bool> forced_byteslice;
+
+  // Code-keyed aggregation (DESIGN.md §20).
+  CodeKeyedInputs code_keyed;
+  bool code_keyed_capable = false;
+  bool code_keyed_admitted = false;
 };
 
 }  // namespace bipie

@@ -75,6 +75,8 @@ double CostModel::AggregationKernelCyclesPerRow(AggregationStrategy strategy,
       return accumulators * p_.agg_checked_cycles;
     case AggregationStrategy::kRunBased:
       return 0.0;  // run path costs are span-structured, not per-row
+    case AggregationStrategy::kCodeKeyed:
+      break;  // infeasible in the model
   }
   return accumulators * p_.agg_scalar_cycles;
 }
@@ -160,6 +162,8 @@ SegmentCosts CostModel::ScoreSegment(const SegmentCostInputs& in) const {
       /*kMultiAggregate=*/in.multi_fits,
       /*kCheckedScalar=*/in.checked_feasible,
       /*kRunBased=*/in.run_capable,
+      // The model has no law for code-keyed aggregation (DESIGN.md §20).
+      /*kCodeKeyed=*/false,
   };
   SelectionStrategy chosen_selection = SelectionStrategy::kGather;
   double best = -1.0;

@@ -74,7 +74,7 @@ struct SegmentCostInputs {
 // each is the full pipeline (filter + selection + aggregation) under that
 // aggregation strategy with its best selection strategy.
 struct SegmentCosts {
-  double total_cpr[kNumAggregationStrategies] = {-1.0, -1.0, -1.0,
+  double total_cpr[kNumAggregationStrategies] = {-1.0, -1.0, -1.0, -1.0,
                                                  -1.0, -1.0, -1.0};
   // Selection overhead component per strategy (gather/compact/special) at
   // the estimated selectivity; -1 when no selection applies.

@@ -62,7 +62,7 @@ const std::vector<SettingDef>& RegistryImpl() {
        "Empty = adaptive.",
        0, 0, 0, false, "",
        "scalar|in-register|sort-based|multi-aggregate|checked-scalar|"
-       "run-based"},
+       "run-based|code-keyed"},
       {"force_byteslice", SettingType::kString,
        "Byteslice predicate kernels for byte-sliced filter columns: 'on' "
        "forces the plane kernels (the scan fails with kNotSupported when no "

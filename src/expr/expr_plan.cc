@@ -85,6 +85,77 @@ int ExprPlan::Add(const Expr& expr) {
   return id;
 }
 
+int ExprPlan::Degree(int id, const std::vector<bool>& marked) const {
+  const Node& n = nodes_[id];
+  switch (n.kind) {
+    case ExprKind::kColumn:
+      return marked[n.column] ? 1 : 0;
+    case ExprKind::kConstant:
+      return 0;
+    case ExprKind::kMul:
+      return Degree(n.lhs, marked) + Degree(n.rhs, marked);
+    default:
+      return std::max(Degree(n.lhs, marked), Degree(n.rhs, marked));
+  }
+}
+
+bool ExprPlan::MultipliesBy(int id, const std::vector<bool>& marked) const {
+  const Node& n = nodes_[id];
+  if (n.kind == ExprKind::kColumn || n.kind == ExprKind::kConstant) {
+    return false;
+  }
+  if (n.kind == ExprKind::kMul) {
+    const bool lhs_const = nodes_[n.lhs].kind == ExprKind::kConstant;
+    const bool rhs_const = nodes_[n.rhs].kind == ExprKind::kConstant;
+    if ((Degree(n.lhs, marked) > 0 && !rhs_const) ||
+        (Degree(n.rhs, marked) > 0 && !lhs_const)) {
+      return true;
+    }
+  }
+  return MultipliesBy(n.lhs, marked) || MultipliesBy(n.rhs, marked);
+}
+
+std::vector<uint64_t> ExprPlan::AffineCoefficients(
+    const std::vector<int>& roots, const std::vector<AffineColumn>& columns,
+    uint32_t tuples, int num_carriers) const {
+  // Synthetic rows, `lanes` per code tuple: row c * lanes + j holds tuple
+  // c's key values and every carrier at zero, except carrier j - 1 at
+  // zero + step.
+  const size_t lanes = 1 + static_cast<size_t>(num_carriers);
+  const size_t rows = static_cast<size_t>(tuples) * lanes;
+  Storage storage;
+  storage.stride = (rows + 7) & ~size_t{7};
+  std::vector<int64_t> slots(std::max<size_t>(num_slots_, 1) *
+                             storage.stride);
+  storage.base = slots.data();
+  for (size_t k = 0; k < columns_.size(); ++k) {
+    const AffineColumn& col = columns[columns_[k]];
+    int64_t* dst = column_values(storage, k);
+    for (size_t r = 0; r < rows; ++r) {
+      if (!col.values.empty()) {
+        dst[r] = col.values[r / lanes / col.stride % col.values.size()];
+      } else {
+        const bool stepped =
+            r % lanes == static_cast<size_t>(col.carrier) + 1;
+        dst[r] = stepped ? WrapAdd(col.zero, static_cast<int64_t>(col.step))
+                         : col.zero;
+      }
+    }
+  }
+  Run(storage, rows);
+
+  std::vector<uint64_t> out(roots.size() * rows);
+  for (size_t i = 0; i < roots.size(); ++i) {
+    const int64_t* v = values(storage, roots[i]);
+    uint64_t* coef = out.data() + i * rows;
+    for (size_t r = 0; r < rows; ++r) {
+      const auto b = static_cast<uint64_t>(v[r - r % lanes]);
+      coef[r] = r % lanes == 0 ? b : static_cast<uint64_t>(v[r]) - b;
+    }
+  }
+  return out;
+}
+
 bool ExprPlan::Fusable(int id) const {
   const Node& n = nodes_[id];
   if (n.root || n.uses != 1) return false;

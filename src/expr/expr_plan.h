@@ -65,6 +65,41 @@ class ExprPlan {
   const std::vector<int>& columns() const { return columns_; }
   Kernel kernel(int node) const { return nodes_[node].kernel; }
 
+  // Structure queries over the nodes below `id`, for the columns `marked`
+  // flags (indexed by table column). Valid before and after Finalize.
+  //
+  // Degree of node `id` as a polynomial in the marked columns: a column is
+  // 1 when marked, else 0; a constant 0; add and sub take the max of their
+  // operands, mul the sum.
+  int Degree(int id, const std::vector<bool>& marked) const;
+  // Some multiply below `id` has one operand that reads a marked column
+  // and another that is not a constant.
+  bool MultipliesBy(int id, const std::vector<bool>& marked) const;
+
+  // How a column varies over the synthetic rows of AffineCoefficients: a
+  // key column takes values[tuple / stride % values.size()]; a carrier
+  // (values empty) takes zero, or zero + step in its own lane.
+  struct AffineColumn {
+    std::vector<int64_t> values;
+    uint32_t stride = 1;
+    int carrier = -1;
+    int64_t zero = 0;
+    uint64_t step = 1;
+  };
+  // Coefficient tables of `roots` (code-keyed aggregation, DESIGN.md §20),
+  // each of Degree <= 1 in the carriers. `columns` is indexed by table
+  // column and covers every plan column; the carriers number
+  // num_carriers. For root r, code tuple c and lane j the result holds, at
+  // [(r * tuples + c) * (1 + num_carriers) + j]:
+  //   j = 0: B(c), the root with every carrier at zero;
+  //   j >= 1: A_j(c), the root with carrier j - 1 at zero + step, minus B.
+  // All modulo 2^64, where the root's value at carrier offsets o is exactly
+  // B(c) + sum_j A_j(c) * o_j for every tuple and offset vector.
+  // Requires Finalize.
+  std::vector<uint64_t> AffineCoefficients(
+      const std::vector<int>& roots, const std::vector<AffineColumn>& columns,
+      uint32_t tuples, int num_carriers) const;
+
   // One batch's storage, owned by the caller so that one finalized plan
   // serves many threads: num_slots() arrays of `stride` int64 each, stride
   // a multiple of 4 and >= the row count Run is given.

@@ -295,6 +295,13 @@ AlignedBuffer& VerdictScratch() {
 
 }  // namespace
 
+Status ColumnPredicate::CheckColumnType(ColumnType type) const {
+  if (type == ColumnType::kString && op_ == CompareOp::kBetween) {
+    return Status::NotSupported("BETWEEN on string columns is not supported");
+  }
+  return Status::OK();
+}
+
 Status ColumnPredicate::Evaluate(const EncodedColumn& col, size_t start,
                                  size_t n, uint8_t* sel_out,
                                  bool use_byteslice_kernel,

@@ -92,6 +92,11 @@ class ColumnPredicate {
                   uint8_t* sel_out, bool use_byteslice_kernel = false,
                   SelectionWrite write = SelectionWrite::kOverwrite) const;
 
+  // Whether Evaluate can run on a column of `type`: BETWEEN on a string
+  // column is kNotSupported. PlanScan checks it once per query, so the
+  // error is the query's answer before any row is read.
+  Status CheckColumnType(ColumnType type) const;
+
   // True when the segment's metadata proves every row fails the predicate.
   bool EliminatesSegment(const EncodedColumn& col) const;
 

@@ -141,17 +141,27 @@ std::string ByteSliceReason(const PlanDecision& d) {
          " ceiling with " + std::to_string(in.max_planes) + " planes";
 }
 
+// Code-keyed aggregation shows in a segment's explain only where it can
+// matter: a key column exists, or the segment runs it. Queries without
+// small-domain sum columns keep their earlier explain text.
+bool CodeKeyedShown(const PlanDecision& d) {
+  return !d.code_keyed.key_columns.empty() ||
+         d.aggregation == AggregationStrategy::kCodeKeyed;
+}
+
 // Rejected-alternative reasons, derived from the recorded decision inputs.
 std::vector<RejectedAlternative> DeriveRejected(const PlanDecision& d) {
-  static constexpr std::array<AggregationStrategy, 6> kAll = {
+  static constexpr std::array<AggregationStrategy, 7> kAll = {
       AggregationStrategy::kScalar,         AggregationStrategy::kInRegister,
       AggregationStrategy::kSortBased,      AggregationStrategy::kMultiAggregate,
       AggregationStrategy::kCheckedScalar,  AggregationStrategy::kRunBased,
+      AggregationStrategy::kCodeKeyed,
   };
   std::vector<RejectedAlternative> out;
   const std::string chosen = AggregationStrategyName(d.aggregation);
   for (const AggregationStrategy s : kAll) {
     if (s == d.aggregation) continue;
+    if (s == AggregationStrategy::kCodeKeyed && !CodeKeyedShown(d)) continue;
     RejectedAlternative alt;
     alt.strategy = s;
     if (d.aggregation_forced) {
@@ -224,6 +234,14 @@ std::vector<RejectedAlternative> DeriveRejected(const PlanDecision& d) {
         alt.feasible = true;
         alt.reason = "generic fallback; " + chosen + " is faster here";
         break;
+      case AggregationStrategy::kCodeKeyed:
+        alt.feasible = d.code_keyed_capable;
+        alt.reason =
+            !d.code_keyed_capable ? "infeasible: " + d.code_keyed.incapable
+            : !d.code_keyed_admitted
+                ? std::string("no sum multiplies by a key column")
+                : "feasible; adaptive rules preferred " + chosen;
+        break;
     }
     out.push_back(std::move(alt));
   }
@@ -284,6 +302,15 @@ Result<PlanExplain> BIPieScan::Explain() const {
                                         d.max_materialized_bits,
                                         d.special_group_available);
       seg.rejected = DeriveRejected(d);
+      seg.code_keyed_shown = CodeKeyedShown(d);
+      const CodeKeyedInputs& ck = d.code_keyed;
+      for (size_t k = 0; k < ck.key_columns.size(); ++k) {
+        seg.code_keys.push_back(table_.schema()[ck.key_columns[k]].name + "[" +
+                                std::to_string(ck.key_domains[k]) + "]");
+      }
+      for (const int c : ck.carrier_columns) {
+        seg.code_carriers.push_back(table_.schema()[c].name);
+      }
     }
     explain.segments.push_back(std::move(seg));
   }
@@ -371,6 +398,14 @@ std::string PlanExplain::ToText() const {
            (d.byteslice_admitted ? "yes" : "no") + ", planes<=" +
            std::to_string(d.byteslice_inputs.max_planes) + " (" +
            ByteSliceReason(d) + ")");
+    }
+    if (seg.code_keyed_shown) {
+      const CodeKeyedInputs& ck = d.code_keyed;
+      line("    code-keyed: capable " +
+           std::string(d.code_keyed_capable ? "yes" : "no") + ", admitted " +
+           (d.code_keyed_admitted ? "yes" : "no") + ", keys " +
+           join(seg.code_keys) + ", carriers " + join(seg.code_carriers) +
+           ", " + std::to_string(ck.num_keys) + " keys");
     }
     if (!seg.selection_applies) {
       line("  selection: none (no filters or deletes reach the batch loop)");
@@ -479,6 +514,21 @@ std::string PlanExplain::ToJson(int indent) const {
       w.KV("max_planes", static_cast<int64_t>(d.byteslice_inputs.max_planes));
       w.KV("estimated_selectivity", d.byteslice_inputs.estimated_selectivity);
       w.KV("reason", ByteSliceReason(d));
+      w.EndObject();
+    }
+    if (seg.code_keyed_shown) {
+      w.Key("code_keyed").BeginObject();
+      w.KV("capable", d.code_keyed_capable);
+      w.KV("admitted", d.code_keyed_admitted);
+      w.Key("keys").BeginArray();
+      for (const std::string& k : seg.code_keys) w.Value(k);
+      w.EndArray();
+      w.Key("carriers").BeginArray();
+      for (const std::string& c : seg.code_carriers) w.Value(c);
+      w.EndArray();
+      w.KV("num_keys", static_cast<int64_t>(d.code_keyed.num_keys));
+      w.KV("multiplies_by_key", d.code_keyed.multiplies_by_key);
+      if (!d.code_keyed_capable) w.KV("incapable", d.code_keyed.incapable);
       w.EndObject();
     }
     w.EndObject();

@@ -50,6 +50,13 @@ struct SegmentExplain {
   SelectionStrategy predicted_selection = SelectionStrategy::kGather;
   double gather_crossover = 0.0;  // at decision.max_materialized_bits
 
+  // Code-keyed aggregation (DESIGN.md §20), rendered only when the segment
+  // has a key column or runs code-keyed: key columns as name[domain], and
+  // carrier names.
+  bool code_keyed_shown = false;
+  std::vector<std::string> code_keys;
+  std::vector<std::string> code_carriers;
+
   std::vector<RejectedAlternative> rejected;
 };
 

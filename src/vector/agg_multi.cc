@@ -103,7 +103,82 @@ ChunkFn ResolveChunkFn(int n64, int np) {
   }
 }
 
+// KeyedRowSum body for J carriers (J <= 3): lane 0 counts, lane j + 1 sums
+// carrier j.
+template <int J>
+void KeyedRowSumAvx2(const uint16_t* keys, const uint32_t* const* carriers,
+                     size_t n, uint64_t* acc_lanes) {
+  __m256i* acc = reinterpret_cast<__m256i*>(acc_lanes);
+  const uint32_t* c[J > 0 ? J : 1];
+  for (int j = 0; j < J; ++j) c[j] = carriers[j];
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256i q[4] = {_mm256_set1_epi64x(1), _mm256_setzero_si256(),
+                    _mm256_setzero_si256(), _mm256_setzero_si256()};
+    for (int j = 0; j < J; ++j) {
+      q[j + 1] = _mm256_cvtepu32_epi64(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(c[j] + i)));
+    }
+    const __m256i t0 = _mm256_unpacklo_epi64(q[0], q[1]);
+    const __m256i t1 = _mm256_unpackhi_epi64(q[0], q[1]);
+    const __m256i t2 = _mm256_unpacklo_epi64(q[2], q[3]);
+    const __m256i t3 = _mm256_unpackhi_epi64(q[2], q[3]);
+    __m256i* a0 = acc + keys[i];
+    *a0 = _mm256_add_epi64(*a0, _mm256_permute2x128_si256(t0, t2, 0x20));
+    __m256i* a1 = acc + keys[i + 1];
+    *a1 = _mm256_add_epi64(*a1, _mm256_permute2x128_si256(t1, t3, 0x20));
+    __m256i* a2 = acc + keys[i + 2];
+    *a2 = _mm256_add_epi64(*a2, _mm256_permute2x128_si256(t0, t2, 0x31));
+    __m256i* a3 = acc + keys[i + 3];
+    *a3 = _mm256_add_epi64(*a3, _mm256_permute2x128_si256(t1, t3, 0x31));
+  }
+  for (; i < n; ++i) {
+    uint64_t* lanes = acc_lanes + 4 * static_cast<size_t>(keys[i]);
+    ++lanes[0];
+    for (int j = 0; j < J; ++j) lanes[j + 1] += c[j][i];
+  }
+}
+
 }  // namespace
+
+void KeyedRowSum(const uint16_t* keys, const uint32_t* const* carriers,
+                 int num_carriers, size_t n, uint64_t* acc) {
+  BIPIE_DCHECK(num_carriers >= 0 && num_carriers <= 3);
+  if (CurrentIsaTier() < IsaTier::kAvx2) {
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t* lanes = acc + 4 * static_cast<size_t>(keys[i]);
+      ++lanes[0];
+      for (int j = 0; j < num_carriers; ++j) lanes[j + 1] += carriers[j][i];
+    }
+    return;
+  }
+  switch (num_carriers) {
+    case 0:
+      return KeyedRowSumAvx2<0>(keys, carriers, n, acc);
+    case 1:
+      return KeyedRowSumAvx2<1>(keys, carriers, n, acc);
+    case 2:
+      return KeyedRowSumAvx2<2>(keys, carriers, n, acc);
+    default:
+      return KeyedRowSumAvx2<3>(keys, carriers, n, acc);
+  }
+}
+
+void FormCodeKeys(const uint8_t* BIPIE_RESTRICT groups, uint32_t group_stride,
+                  const uint8_t* const* codes, const uint32_t* strides,
+                  int num_codes, size_t n, uint16_t* BIPIE_RESTRICT keys) {
+  const auto gs = static_cast<uint16_t>(group_stride);
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = static_cast<uint16_t>(groups[i] * gs);
+  }
+  for (int k = 0; k < num_codes; ++k) {
+    const uint8_t* BIPIE_RESTRICT code = codes[k];
+    const auto stride = static_cast<uint16_t>(strides[k]);
+    for (size_t i = 0; i < n; ++i) {
+      keys[i] = static_cast<uint16_t>(keys[i] + code[i] * stride);
+    }
+  }
+}
 
 Status MultiAggregator::Configure(const std::vector<ColumnDesc>& columns,
                                   int num_groups, AlignedBuffer* storage) {

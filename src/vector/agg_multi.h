@@ -106,6 +106,26 @@ class MultiAggregator {
   size_t rows_since_drain_ = 0;
 };
 
+// --- code-keyed row sums (DESIGN.md §20) ------------------------------------
+//
+// The uint16-keyed, single-copy sibling of the load-add-store above. Each
+// key owns four uint64 lanes at acc[4 * key]: the row count, then one
+// offset sum per carrier column. Row i adds (1, carriers[0][i], ...,
+// carriers[num_carriers - 1][i]) into its key's lanes with one 256-bit
+// load-add-store, the carriers transposed in registers as in Process.
+// The lanes wrap modulo 2^64, which the coefficient fold tolerates (it is
+// ring arithmetic mod 2^64 throughout), so unlike the 32-bit pairs there is
+// nothing to drain. acc must be 32-byte aligned; num_carriers <= 3.
+void KeyedRowSum(const uint16_t* keys, const uint32_t* const* carriers,
+                 int num_carriers, size_t n, uint64_t* acc);
+
+// Forms the accumulator keys of n rows:
+// keys[i] = groups[i] * group_stride + sum_k codes[k][i] * strides[k].
+// The caller guarantees every key fits 16 bits.
+void FormCodeKeys(const uint8_t* groups, uint32_t group_stride,
+                  const uint8_t* const* codes, const uint32_t* strides,
+                  int num_codes, size_t n, uint16_t* keys);
+
 }  // namespace bipie
 
 #endif  // BIPIE_VECTOR_AGG_MULTI_H_

@@ -295,9 +295,12 @@ TEST(AggregateProcessorTest, ParsedAndBuiltQ1BindTheSamePlan) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const QuerySpec sql = parsed.value().spec;
   const QuerySpec built = MakeQ1Query(lineitem);
+  // The multi-aggregate plan decodes its plan columns every batch.
+  StrategyOverrides multi;
+  multi.aggregation = AggregationStrategy::kMultiAggregate;
   for (size_t s = 0; s < lineitem.num_segments(); ++s) {
-    const SegmentPlan from_sql(lineitem, s, sql, {});
-    const SegmentPlan from_built(lineitem, s, built, {});
+    const SegmentPlan from_sql(lineitem, s, sql, multi);
+    const SegmentPlan from_built(lineitem, s, built, multi);
     ASSERT_TRUE(from_sql.status().ok());
     ASSERT_TRUE(from_built.status().ok());
     const ExprPlan& a = from_sql.expr_plan();
@@ -307,6 +310,16 @@ TEST(AggregateProcessorTest, ParsedAndBuiltQ1BindTheSamePlan) {
     // price, discount, tax: each decoded once, the raw price sum included.
     EXPECT_EQ(a.columns().size(), 3u);
     EXPECT_EQ(a.num_slots(), b.num_slots());
+
+    // The adaptive code-keyed plans agree down to their coefficients.
+    const SegmentPlan keyed_sql(lineitem, s, sql, {});
+    const SegmentPlan keyed_built(lineitem, s, built, {});
+    ASSERT_EQ(keyed_sql.aggregation(), AggregationStrategy::kCodeKeyed);
+    ASSERT_EQ(keyed_built.aggregation(), AggregationStrategy::kCodeKeyed);
+    EXPECT_EQ(keyed_sql.code_keyed().coefficients,
+              keyed_built.code_keyed().coefficients);
+    EXPECT_EQ(keyed_sql.code_keyed().num_keys,
+              keyed_built.code_keyed().num_keys);
   }
   auto from_sql = ExecuteQuery(lineitem, sql);
   auto from_built = ExecuteQuery(lineitem, built);

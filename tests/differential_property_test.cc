@@ -175,13 +175,14 @@ TEST_P(DifferentialProperty, BIPieMatchesOracleOnRandomWorkloads) {
   const SelectionStrategy sels[3] = {SelectionStrategy::kGather,
                                      SelectionStrategy::kCompact,
                                      SelectionStrategy::kSpecialGroup};
-  const AggregationStrategy aggs[4] = {
+  const AggregationStrategy aggs[5] = {
       AggregationStrategy::kScalar, AggregationStrategy::kInRegister,
-      AggregationStrategy::kSortBased, AggregationStrategy::kMultiAggregate};
+      AggregationStrategy::kSortBased, AggregationStrategy::kMultiAggregate,
+      AggregationStrategy::kCodeKeyed};
   for (int k = 0; k < 2; ++k) {
     ScanOptions options;
     options.overrides.selection = sels[rng.NextBounded(3)];
-    options.overrides.aggregation = aggs[rng.NextBounded(4)];
+    options.overrides.aggregation = aggs[rng.NextBounded(5)];
     auto forced = ExecuteQuery(c.table, c.query, options);
     if (!forced.ok()) {
       // Infeasible strategy for this shape — must be a clean rejection.

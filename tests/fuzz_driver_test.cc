@@ -11,7 +11,10 @@
 #include "baseline/hash_agg.h"
 #include "core/scan.h"
 #include "fuzz_harness.h"
+#include "obs/metrics.h"
+#include "obs/plan_explain.h"
 #include "storage/table.h"
+#include "tests/test_util.h"
 #include "vector/selection_vector.h"
 
 namespace bipie {
@@ -178,7 +181,9 @@ TEST(ScanFallbackStats, FallbackResetsSpecializedProgress) {
   EXPECT_EQ(stats.batches, 0u);
   EXPECT_EQ(stats.rows_scanned, 0u);
   EXPECT_EQ(stats.rows_selected, 0u);
-  for (int a = 0; a < 5; ++a) EXPECT_EQ(stats.aggregation_segments[a], 0u);
+  for (int a = 0; a < kNumAggregationStrategies; ++a) {
+    EXPECT_EQ(stats.aggregation_segments[a], 0u);
+  }
 
   // And the fallback answer itself matches the oracle.
   auto oracle = ExecuteQueryHashAgg(table, SumByGroupQuery());
@@ -188,6 +193,81 @@ TEST(ScanFallbackStats, FallbackResetsSpecializedProgress) {
     EXPECT_EQ(result.value().rows[r].group, oracle.value().rows[r].group);
     EXPECT_EQ(result.value().rows[r].count, oracle.value().rows[r].count);
     EXPECT_EQ(result.value().rows[r].sums, oracle.value().rows[r].sums);
+  }
+}
+
+// A predicted hash fallback runs only the segments that could still raise
+// an overflow the hash engine cannot see (checked-scalar ones). Here no
+// segment is at risk, so the specialized scan reads nothing before the
+// hash engine answers.
+TEST(ScanFallbackStats, PredictedFallbackScansNoSegment) {
+  Schema schema;
+  schema.push_back({"g", ColumnType::kInt64, EncodingChoice::kDictionary});
+  schema.push_back({"v", ColumnType::kInt64, EncodingChoice::kBitPacked});
+  Table table(schema);
+  TableAppender app(&table, /*segment_rows=*/400);
+  for (int64_t i = 0; i < 400; ++i) app.AppendRow({i % 2, i});
+  for (int64_t i = 0; i < 301; ++i) app.AppendRow({i, 1});
+  app.Flush();
+
+  obs::Counter& morsels = obs::Counter::Get("scan.morsels");
+  obs::Counter& rows_scanned = obs::Counter::Get("scan.rows_scanned");
+  for (const size_t threads : {0, 1, 4}) {
+    const uint64_t morsels_before = morsels.value();
+    const uint64_t rows_before = rows_scanned.value();
+    ScanOptions options;
+    options.num_threads = threads;
+    BIPieScan scan(table, SumByGroupQuery(), options);
+    auto result = scan.Execute();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(scan.stats().used_hash_fallback);
+    EXPECT_EQ(morsels.value() - morsels_before, 0u) << "threads " << threads;
+    EXPECT_EQ(rows_scanned.value() - rows_before, 0u)
+        << "threads " << threads;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Regression: a filter its column type cannot evaluate (BETWEEN on a
+// string dictionary) used to pass planning, so Explain predicted a
+// specialized scan while Execute scanned, fell back, and failed in the
+// hash engine. It now fails in PlanScan: Explain and Execute report the
+// same status and neither engine reads a row.
+// ---------------------------------------------------------------------------
+
+TEST(ScanPlanErrors, BetweenOnStringColumnFailsBeforeAnyScan) {
+  Schema schema;
+  schema.push_back({"s", ColumnType::kString, EncodingChoice::kDictionary});
+  schema.push_back({"v", ColumnType::kInt64, EncodingChoice::kBitPacked});
+  Table table(schema);
+  TableAppender app(&table, /*segment_rows=*/1024);
+  const char* names[] = {"a", "b", "c", "d", "e"};
+  for (int64_t i = 0; i < 3000; ++i) {
+    app.AppendRow({0, i}, {names[i % 5], ""});
+  }
+  app.Flush();
+  QuerySpec query;
+  query.group_by.push_back("s");
+  query.aggregates.push_back(AggregateSpec::Count());
+  query.aggregates.push_back(AggregateSpec::Sum("v"));
+  query.filters.push_back(ColumnPredicate::Between("s", 0, 5));
+
+  obs::Counter& rows_scanned = obs::Counter::Get("scan.rows_scanned");
+  for (const size_t threads : {0, 1, 4}) {
+    const uint64_t rows_before = rows_scanned.value();
+    ScanOptions options;
+    options.num_threads = threads;
+    BIPieScan scan(table, query, options);
+    const Result<PlanExplain> explain = scan.Explain();
+    const Result<QueryResult> result = scan.Execute();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kNotSupported);
+    const std::vector<std::string> violations =
+        test::ExplainMatchesExecute(explain, result, scan.stats());
+    EXPECT_TRUE(violations.empty()) << violations[0];
+    EXPECT_FALSE(scan.stats().used_hash_fallback);
+    EXPECT_EQ(scan.stats().rows_scanned, 0u);
+    EXPECT_EQ(rows_scanned.value() - rows_before, 0u);
   }
 }
 

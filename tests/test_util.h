@@ -272,6 +272,27 @@ inline std::vector<std::string> ExplainMatchesExecute(
   return v;
 }
 
+// The same oracle over outcomes: a plan that fails before any row is read
+// fails Explain() and Execute() alike, with the same status; otherwise a
+// successful Execute() must match its explain as above.
+inline std::vector<std::string> ExplainMatchesExecute(
+    const Result<PlanExplain>& explain, const Result<QueryResult>& executed,
+    const ScanStats& stats) {
+  if (!explain.ok()) {
+    if (executed.ok()) {
+      return {"explain failed (" + explain.status().ToString() +
+              ") but execute succeeded"};
+    }
+    if (executed.status().ToString() != explain.status().ToString()) {
+      return {"explain failed with " + explain.status().ToString() +
+              " but execute with " + executed.status().ToString()};
+    }
+    return {};
+  }
+  if (!executed.ok()) return {};
+  return ExplainMatchesExecute(explain.value(), stats);
+}
+
 // ExecuteQuery with the stats invariants asserted on every successful scan:
 // a violation surfaces as an Internal error carrying the violation text, so
 // existing ASSERT_TRUE(got.ok()) call sites report it verbatim. Error-path

@@ -106,15 +106,30 @@ TEST(Q1Test, AllEnginesAgree) {
   }
 }
 
-TEST(Q1Test, UsesMultiAggregateAndSpecialGroup) {
-  // §6.3: special-group selection feeds multi-aggregate sums; all five
-  // sums (after sharing qty between sum and avg) fit one register.
+TEST(Q1Test, UsesCodeKeyedAndSpecialGroup) {
+  // Special-group selection feeds code-keyed sums (DESIGN.md §20): per
+  // segment l_discount has 11 codes and l_tax 9, so every sum follows from
+  // counts and price/quantity offset sums per (group, discount, tax).
   Table t = MakeLineitemTable(SmallOptions());
   BIPieScan scan(t, MakeQ1Query(t));
   ASSERT_TRUE(scan.Execute().ok());
-  EXPECT_GT(scan.stats().aggregation_segments[static_cast<int>(
+  EXPECT_EQ(scan.stats().aggregation_segments[static_cast<int>(
+                AggregationStrategy::kCodeKeyed)],
+            scan.stats().segments_scanned);
+  EXPECT_GT(scan.stats().selection.special_group, 0u);
+}
+
+TEST(Q1Test, ForcedMultiAggregateKeepsThePaperPlan) {
+  // §6.3: special-group selection feeds multi-aggregate sums; all five
+  // sums (after sharing qty between sum and avg) fit one register.
+  Table t = MakeLineitemTable(SmallOptions());
+  ScanOptions options;
+  options.overrides.aggregation = AggregationStrategy::kMultiAggregate;
+  BIPieScan scan(t, MakeQ1Query(t), options);
+  ASSERT_TRUE(scan.Execute().ok());
+  EXPECT_EQ(scan.stats().aggregation_segments[static_cast<int>(
                 AggregationStrategy::kMultiAggregate)],
-            0u);
+            scan.stats().segments_scanned);
   EXPECT_GT(scan.stats().selection.special_group, 0u);
 }
 
@@ -127,7 +142,8 @@ TEST(Q1Test, EveryStrategyComboMatches) {
                    SelectionStrategy::kSpecialGroup}) {
     for (auto agg :
          {AggregationStrategy::kScalar, AggregationStrategy::kSortBased,
-          AggregationStrategy::kMultiAggregate}) {
+          AggregationStrategy::kMultiAggregate,
+          AggregationStrategy::kCodeKeyed}) {
       ScanOptions options;
       options.overrides.selection = sel;
       options.overrides.aggregation = agg;

@@ -6,6 +6,7 @@ Usage:
       --baseline BASE1.json [BASE2.json ...] \
       --candidate CAND1.json [CAND2.json ...] \
       [--metric cycles_per_row] [--max-regress-pct 2.0] [--higher-is-better]
+      [--labels bipie bipie_sql]
 
 All files are BENCH_<name>.json documents written by bench_util.h. When a
 side has several files (repeated runs of the same bench), each label's
@@ -50,6 +51,9 @@ def main() -> int:
     parser.add_argument("--candidate", nargs="+", required=True)
     parser.add_argument("--metric", default="cycles_per_row")
     parser.add_argument("--max-regress-pct", type=float, default=2.0)
+    parser.add_argument("--labels", nargs="+",
+                        help="compare only these labels (e.g. the engine "
+                             "labels of a query bench, not its baselines)")
     parser.add_argument("--higher-is-better", action="store_true",
                         help="metric is a throughput (e.g. qps): a drop "
                              "is the regression direction")
@@ -58,6 +62,8 @@ def main() -> int:
     base = load_results(args.baseline, args.metric, args.higher_is_better)
     cand = load_results(args.candidate, args.metric, args.higher_is_better)
     shared = sorted(set(base) & set(cand))
+    if args.labels:
+        shared = [label for label in shared if label in args.labels]
     if not shared:
         sys.exit("error: no shared labels between baseline and candidate")
 

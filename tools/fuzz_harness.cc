@@ -64,9 +64,45 @@ std::string GroupString(int id) { return "grp" + std::to_string(id); }
 // largest case, so the oracle never overflows.
 constexpr int64_t kShapeColumnAbs = int64_t{1} << 12;
 
+// Code-keyed shape columns (CaseParams::code_shapes): key columns k0 and k1
+// of at most 16 values each (a frame-of-reference grid with a negative or
+// positive base, or an integer dictionary of arbitrary values) and a
+// bit-packed carrier `c` of at most 25 bits on a grid.
+struct CodeColumns {
+  std::vector<int64_t> key_values[2];
+  ValueColumn carrier;
+};
+
+void AppendCodeColumns(Rng* rng, Schema* schema, CodeColumns* out) {
+  for (int k = 0; k < 2; ++k) {
+    const bool dictionary = rng->NextBernoulli(0.5);
+    const int64_t domain = 1 + static_cast<int64_t>(rng->NextBounded(16));
+    const int64_t base = rng->NextInRange(-5000, 5000);
+    const int64_t steps[4] = {1, 10, 100,
+                              2 + static_cast<int64_t>(rng->NextBounded(999))};
+    const int64_t step = steps[rng->NextBounded(4)];
+    for (int64_t i = 0; i < domain; ++i) {
+      out->key_values[k].push_back(dictionary
+                                       ? rng->NextInRange(-100000, 100000)
+                                       : base + step * i);
+    }
+    schema->push_back({"k" + std::to_string(k), ColumnType::kInt64,
+                       dictionary ? EncodingChoice::kDictionary
+                                  : EncodingChoice::kBitPacked});
+  }
+  ValueColumn& c = out->carrier;
+  const int bits = 1 + static_cast<int>(rng->NextBounded(24));
+  c.lo = rng->NextInRange(-(int64_t{1} << 20), int64_t{1} << 20);
+  c.hi = c.lo + (int64_t{1} << bits) - 1;
+  const uint64_t divisors[4] = {1, 7, 100, uint64_t{1} << rng->NextBounded(8)};
+  c.divisor = divisors[rng->NextBounded(4)];
+  c.encoding = EncodingChoice::kBitPacked;
+  schema->push_back({"c", ColumnType::kInt64, EncodingChoice::kBitPacked});
+}
+
 Schema MakeFuzzSchema(const CaseParams& p, Rng* rng, Rng* shape_rng,
-                      std::vector<ValueColumn>* value_cols,
-                      bool* g1_is_string) {
+                      Rng* code_rng, std::vector<ValueColumn>* value_cols,
+                      CodeColumns* code_cols, bool* g1_is_string) {
   Schema schema;
   // Run-clustered cases pin the group columns to integer RLE — the shape the
   // run-level execution path admits; strings dictionary-encode and stay on
@@ -141,6 +177,7 @@ Schema MakeFuzzSchema(const CaseParams& p, Rng* rng, Rng* shape_rng,
     schema.push_back({"s", ColumnType::kInt64,
                       encodings[shape_rng->NextBounded(6)]});
   }
+  if (p.code_shapes > 0) AppendCodeColumns(code_rng, &schema, code_cols);
   return schema;
 }
 
@@ -148,13 +185,23 @@ Schema MakeFuzzSchema(const CaseParams& p, Rng* rng, Rng* shape_rng,
 // checking shapes against int64 before adding them.
 std::vector<ValueBounds> GlobalBounds(const Table& table,
                                       const std::vector<ValueColumn>& cols,
-                                      size_t first_value_col) {
+                                      size_t first_value_col,
+                                      const CodeColumns& code_cols) {
   std::vector<ValueBounds> bounds(table.num_columns(), ValueBounds{0, 0});
   for (size_t c = 0; c < cols.size(); ++c) {
     bounds[first_value_col + c] = {cols[c].lo, cols[c].hi};
   }
   const int s = table.FindColumn("s");
   if (s >= 0) bounds[s] = {-kShapeColumnAbs, kShapeColumnAbs};
+  for (int k = 0; k < 2; ++k) {
+    const int col = table.FindColumn("k" + std::to_string(k));
+    if (col < 0) continue;
+    const std::vector<int64_t>& v = code_cols.key_values[k];
+    bounds[col] = {*std::min_element(v.begin(), v.end()),
+                   *std::max_element(v.begin(), v.end())};
+  }
+  const int c = table.FindColumn("c");
+  if (c >= 0) bounds[c] = {code_cols.carrier.lo, code_cols.carrier.hi};
   return bounds;
 }
 
@@ -273,17 +320,89 @@ void AppendExprShapes(const Table& table,
   }
 }
 
+// Appends the sums of CaseParams::code_shapes over k0, k1 and c, drawn from
+// `rng` only: Q1's c * (k0 ± a) * (k1 ± b) and Q6's c * k0, key-only
+// products, raw sums and affine mixes, and now and then a shape quadratic
+// in the carrier, which code-keyed plans must reject. A shape that could
+// overflow a sum over any case loses its second key factor.
+void AppendCodeShapes(const Table& table,
+                      const std::vector<ValueBounds>& bounds, Rng* rng,
+                      QuerySpec* query) {
+  const int k0 = table.FindColumn("k0");
+  const int k1 = table.FindColumn("k1");
+  const int c = table.FindColumn("c");
+  auto safe = [&](const ExprPtr& e) {
+    Result<ValueBounds> b = e->EvalBounds(bounds);
+    const int64_t limit = int64_t{1} << 49;
+    return b.ok() && b.value().min >= -limit && b.value().max <= limit;
+  };
+  auto factor = [&](int col) {
+    const int64_t k = rng->NextInRange(-1000, 1000);
+    switch (rng->NextBounded(3)) {
+      case 0:
+        return Expr::Sub(Expr::Constant(k), Expr::Column(col));
+      case 1:
+        return Expr::Add(Expr::Column(col), Expr::Constant(k));
+      default:
+        return Expr::Sub(Expr::Column(col), Expr::Constant(k));
+    }
+  };
+  const int num_shapes = 1 + static_cast<int>(rng->NextBounded(3));
+  for (int s = 0; s < num_shapes; ++s) {
+    ExprPtr e;
+    switch (rng->NextBounded(6)) {
+      case 0: {  // c * (k0 ± a) * (k1 ± b)
+        ExprPtr once = Expr::Mul(Expr::Column(c), factor(k0));
+        e = Expr::Mul(once, factor(k1));
+        if (!safe(e)) e = once;
+        break;
+      }
+      case 1:  // c * k0
+        e = Expr::Mul(Expr::Column(c), Expr::Column(k0));
+        break;
+      case 2:  // (k0 ± a) * (k1 ± b)
+        e = Expr::Mul(factor(k0), factor(k1));
+        break;
+      case 3: {  // raw sums and averages
+        const char* names[3] = {"c", "k0", "k1"};
+        const char* name = names[rng->NextBounded(3)];
+        query->aggregates.push_back(rng->NextBernoulli(0.5)
+                                        ? AggregateSpec::Sum(name)
+                                        : AggregateSpec::Avg(name));
+        continue;
+      }
+      case 4:  // affine mix: (c - k1) * k0 + k1 * a
+        e = Expr::Add(
+            Expr::Mul(Expr::Sub(Expr::Column(c), Expr::Column(k1)),
+                      Expr::Column(k0)),
+            Expr::Mul(Expr::Column(k1),
+                      Expr::Constant(rng->NextInRange(-1000, 1000))));
+        break;
+      default:
+        // c * (c ± a): quadratic in the carrier, a third of the time.
+        e = rng->NextBounded(3) == 0
+                ? Expr::Mul(Expr::Column(c), factor(c))
+                : Expr::Mul(Expr::Column(c), factor(k1));
+        break;
+    }
+    query->aggregates.push_back(AggregateSpec::SumExpr(e));
+  }
+}
+
 BuiltCase BuildCase(const CaseParams& p) {
   Rng rng(p.seed * 6364136223846793005ULL + 1442695040888963407ULL);
   // Expression shapes draw from their own stream, so turning them on (or
   // shrinking them away) leaves every other draw of the case unchanged.
   Rng shape_rng(p.seed * 0x2545F4914F6CDD1DULL + 0x9E3779B97F4A7C15ULL);
-  // Likewise the choice of on-grid literals under CaseParams::divisors.
+  // Likewise the choice of on-grid literals under CaseParams::divisors,
+  // and the code-keyed columns and sums.
   Rng grid_rng(p.seed * 0xD1B54A32D192ED03ULL + 0x8CB92BA72F3D8DD7ULL);
+  Rng code_rng(p.seed * 0x94D049BB133111EBULL + 0x2545F4914F6CDD1DULL);
   std::vector<ValueColumn> value_cols;
+  CodeColumns code_cols;
   bool g1_is_string = false;
-  BuiltCase built(
-      MakeFuzzSchema(p, &rng, &shape_rng, &value_cols, &g1_is_string));
+  BuiltCase built(MakeFuzzSchema(p, &rng, &shape_rng, &code_rng, &value_cols,
+                                 &code_cols, &g1_is_string));
   Table& table = built.table;
   QuerySpec& query = built.query;
 
@@ -293,6 +412,8 @@ BuiltCase BuildCase(const CaseParams& p) {
   TableAppender app(&table, std::max<size_t>(64, p.segment_rows));
   std::vector<int64_t> ints(table.num_columns(), 0);
   std::vector<std::string> strings(table.num_columns());
+  const int shape_col = table.FindColumn("s");
+  const int code_col = table.FindColumn("k0");
   // Run-clustered generation: group and RLE value columns cycle through
   // their domains in runs of ~sorted_fraction * 8192 rows (staggered per
   // column so run edges rarely coincide), long enough to cross batch,
@@ -339,7 +460,16 @@ BuiltCase BuildCase(const CaseParams& p) {
       ints[first_value_col + c] = vc.Snap(rng.NextInRange(vc.lo, vc.hi));
     }
     if (p.expr_shapes > 0) {
-      ints.back() = shape_rng.NextInRange(-kShapeColumnAbs, kShapeColumnAbs);
+      ints[shape_col] =
+          shape_rng.NextInRange(-kShapeColumnAbs, kShapeColumnAbs);
+    }
+    if (p.code_shapes > 0) {
+      for (int k = 0; k < 2; ++k) {
+        const std::vector<int64_t>& v = code_cols.key_values[k];
+        ints[code_col + k] = v[code_rng.NextBounded(v.size())];
+      }
+      const ValueColumn& c = code_cols.carrier;
+      ints[code_col + 2] = c.Snap(code_rng.NextInRange(c.lo, c.hi));
     }
     app.AppendRow(ints, strings);
   }
@@ -389,10 +519,10 @@ BuiltCase BuildCase(const CaseParams& p) {
     }
   }
 
-  if (p.expr_shapes > 0) {
-    AppendExprShapes(table, GlobalBounds(table, value_cols, first_value_col),
-                     &shape_rng, &query);
-  }
+  const std::vector<ValueBounds> bounds =
+      GlobalBounds(table, value_cols, first_value_col, code_cols);
+  if (p.expr_shapes > 0) AppendExprShapes(table, bounds, &shape_rng, &query);
+  if (p.code_shapes > 0) AppendCodeShapes(table, bounds, &code_rng, &query);
 
   // Half the = / <> literals of a gridded column land on the grid; the
   // rest, like the quantile literals below, mostly fall between points.
@@ -516,17 +646,18 @@ std::vector<Plan> MakePlans(const CaseParams& p) {
   const SelectionStrategy sels[3] = {SelectionStrategy::kGather,
                                      SelectionStrategy::kCompact,
                                      SelectionStrategy::kSpecialGroup};
-  const AggregationStrategy aggs[6] = {
-      AggregationStrategy::kScalar,      AggregationStrategy::kInRegister,
-      AggregationStrategy::kSortBased,   AggregationStrategy::kMultiAggregate,
-      AggregationStrategy::kCheckedScalar, AggregationStrategy::kRunBased};
+  const AggregationStrategy aggs[7] = {
+      AggregationStrategy::kScalar,        AggregationStrategy::kInRegister,
+      AggregationStrategy::kSortBased,     AggregationStrategy::kMultiAggregate,
+      AggregationStrategy::kCheckedScalar, AggregationStrategy::kRunBased,
+      AggregationStrategy::kCodeKeyed};
   // Full override matrix: each strategy forced alone and every pairwise
   // combination (sel_idx/agg_idx of -1 = adaptive for that dimension).
   // Forced kRunBased rejects with kNotSupported off run-shaped data (and
   // under any forced selection strategy); on sorted_fraction cases it runs
   // the whole run pipeline differentially against the oracle.
   for (int s = -1; s < 3; ++s) {
-    for (int a = -1; a < 6; ++a) {
+    for (int a = -1; a < 7; ++a) {
       if (s < 0 && a < 0) continue;  // pure adaptive already covered
       Plan plan;
       plan.name = std::string("forced ") +
@@ -568,6 +699,7 @@ std::string CaseParams::ToString() const {
      << " isa_tier=" << IsaTierName(static_cast<IsaTier>(isa_tier))
      << " expr_shapes=" << expr_shapes << " divisors=" << divisors[0];
   for (size_t c = 1; c < divisors.size(); ++c) os << "," << divisors[c];
+  os << " code_shapes=" << code_shapes;
   return os.str();
 }
 
@@ -658,6 +790,10 @@ CaseParams MakeCaseParams(uint64_t seed) {
         break;
     }
   }
+  // Half the cases add the code-keyed columns and sums, also from their
+  // own stream.
+  Rng code_rng(seed * 0xE7037ED1A0B428DBULL + 0x8EBC6AF09C88C6E3ULL);
+  p.code_shapes = static_cast<int>(code_rng.NextBounded(2));
   return p;
 }
 
@@ -707,6 +843,8 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
         p.memory_limit = std::stoull(val);
       } else if (key == "expr_shapes") {
         p.expr_shapes = std::stoi(val);
+      } else if (key == "code_shapes") {
+        p.code_shapes = std::stoi(val);
       } else if (key == "divisors") {
         std::istringstream list(val);
         std::string item;
@@ -952,6 +1090,7 @@ CaseParams Shrink(const CaseParams& p) {
     }
     if (best.isa_tier != 0) add([](CaseParams& c) { c.isa_tier = 0; });
     if (best.expr_shapes != 0) add([](CaseParams& c) { c.expr_shapes = 0; });
+    if (best.code_shapes != 0) add([](CaseParams& c) { c.code_shapes = 0; });
     for (size_t d = 0; d < best.divisors.size(); ++d) {
       if (best.divisors[d] != 1) add([d](CaseParams& c) { c.divisors[d] = 1; });
     }

@@ -88,9 +88,18 @@ struct CaseParams {
   // column become < / >=, whose bounds round up. 1 leaves a column as
   // drawn. Drawn from their own stream, like expr_shapes; shrink to 1.
   std::array<uint64_t, 4> divisors = {1, 1, 1, 1};
+  int code_shapes = 0;  // >0 adds small-domain key columns k0, k1 (<= 16
+                        // codes: bit-packed on a grid with a negative or
+                        // positive base, or an integer dictionary) and a
+                        // bit-packed carrier c, with sums over them shaped
+                        // for code-keyed aggregation (DESIGN.md §20):
+                        // c * (k0 ± a) * (k1 ± b), c * k0, key-only
+                        // products, raw sums, affine mixes and a carrier-
+                        // quadratic shape its plans must reject. Drawn from
+                        // their own stream, like expr_shapes; shrinks to 0
 
-  // Replay line, e.g.
-  // "seed=42 rows=375 ... isa_tier=avx2 expr_shapes=0 divisors=1,100,1,1".
+  // Replay line, e.g. "seed=42 rows=375 ... isa_tier=avx2 expr_shapes=0
+  // divisors=1,100,1,1 code_shapes=1".
   // Parsed back by ParseCaseParams.
   std::string ToString() const;
 };

@@ -491,7 +491,7 @@ Status AggregateProcessor::ProcessCodeKeyed(size_t start, size_t n,
     carriers[j] = reinterpret_cast<const uint32_t*>(next);
     next += 4 * rows;
   }
-  // At most log2(kMaxCodeKeys) columns have two or more codes.
+  // Keys fit 16 bits, so at most 16 columns have two or more codes.
   const uint8_t* codes[16];
   uint32_t strides[16];
   BIPIE_DCHECK(num_codes <= 16);

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/bits.h"
+#include "core/scan.h"
 #include "encoding/byteslice.h"
 #include "expr/predicate.h"
 #include "vector/agg_inregister.h"
@@ -26,23 +27,30 @@ int GroupCapacity(AggregationStrategy s) {
 // into keys (integer codes of a small segment domain) and carriers (every
 // other column, read as bit-packed offsets), then checks the shape: every
 // input affine in the carriers, at most kMaxCodeKeyCarriers of them, and
-// at most kMaxCodeKeys accumulators. `ck->incapable` stays empty when the
-// segment is capable.
+// at most `limits.max_code_keys` accumulators. `ck->incapable` stays empty
+// when the segment is capable.
 void PlanCodeKeyed(const Table& table, const Segment& segment,
                    const std::vector<AggregateInput>& inputs,
-                   int groups_for_choice, CodeKeyedInputs* ck) {
-  ExprPlan shape;
-  std::vector<int> roots;
+                   int groups_for_choice, const CodeKeyLimits& limits,
+                   CodeKeyedInputs* ck) {
+  // The per-batch kernels' bounds: byte codes and 16-bit keys.
+  const uint64_t max_domain =
+      static_cast<uint64_t>(std::clamp(limits.max_domain, 1, 256));
+  const int max_keys = std::clamp(limits.max_code_keys, 1, 65536);
+  std::vector<const Expr*> roots;
   std::vector<int> cols;
   for (const AggregateInput& input : inputs) {
     if (input.op != AggregateInput::Op::kSum) {
       ck->incapable = "MIN/MAX aggregates";
       return;
     }
-    const ExprPtr expr =
-        input.is_expr ? input.expr : Expr::Column(input.column_index);
-    roots.push_back(shape.Add(*expr));
-    expr->CollectColumns(&cols);
+    // Raw inputs are bare columns: degree <= 1, no multiply.
+    if (input.is_expr) {
+      roots.push_back(input.expr.get());
+      input.expr->CollectColumns(&cols);
+    } else {
+      cols.push_back(input.column_index);
+    }
   }
   std::sort(cols.begin(), cols.end());
   cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
@@ -55,12 +63,12 @@ void PlanCodeKeyed(const Table& table, const Segment& segment,
     const bool integer = col.type() == ColumnType::kInt64;
     const bool coded = integer && (col.encoding() == Encoding::kBitPacked ||
                                    col.encoding() == Encoding::kDictionary);
-    if (coded && col.id_bound() <= kMaxCodeKeyDomain) {
+    if (coded && col.id_bound() <= max_domain) {
       is_key[c] = true;
       ck->key_columns.push_back(c);
       ck->key_domains.push_back(static_cast<int>(col.id_bound()));
       tuples = std::min<int64_t>(tuples * static_cast<int64_t>(col.id_bound()),
-                                 int64_t{kMaxCodeKeys} + 1);
+                                 int64_t{max_keys} + 1);
     } else if (integer && col.encoding() == Encoding::kBitPacked &&
                col.bit_width() <= 32) {
       is_carrier[c] = true;
@@ -68,14 +76,14 @@ void PlanCodeKeyed(const Table& table, const Segment& segment,
     } else if (ck->incapable.empty()) {
       ck->incapable = table.schema()[c].name +
                       " is neither a key of <= " +
-                      std::to_string(kMaxCodeKeyDomain) +
+                      std::to_string(max_domain) +
                       " codes nor a bit-packed carrier of <= 32 bits";
     }
   }
   ck->num_keys = static_cast<int>(
       std::min<int64_t>(groups_for_choice * tuples, int64_t{1} << 30));
-  for (const int root : roots) {
-    if (shape.MultipliesBy(root, is_key)) ck->multiplies_by_key = true;
+  for (const Expr* root : roots) {
+    if (MultipliesBy(*root, is_key)) ck->multiplies_by_key = true;
   }
   if (!ck->incapable.empty()) return;
   if (static_cast<int>(ck->carrier_columns.size()) > kMaxCodeKeyCarriers) {
@@ -84,15 +92,15 @@ void PlanCodeKeyed(const Table& table, const Segment& segment,
                     std::to_string(kMaxCodeKeyCarriers);
     return;
   }
-  for (const int root : roots) {
-    if (shape.Degree(root, is_carrier) > 1) {
+  for (const Expr* root : roots) {
+    if (Degree(*root, is_carrier) > 1) {
       ck->incapable = "an input is not affine in its carrier columns";
       return;
     }
   }
-  if (ck->num_keys > kMaxCodeKeys) {
+  if (ck->num_keys > max_keys) {
     ck->incapable = std::to_string(ck->num_keys) + " keys exceed the " +
-                    std::to_string(kMaxCodeKeys) + " cap";
+                    std::to_string(max_keys) + " cap";
   }
 }
 
@@ -106,6 +114,34 @@ uint64_t LogicalValue(const EncodedColumn& col, uint64_t code) {
 }
 
 }  // namespace
+
+int Degree(const Expr& expr, const std::vector<bool>& marked) {
+  switch (expr.kind()) {
+    case ExprKind::kColumn:
+      return marked[expr.column_index()] ? 1 : 0;
+    case ExprKind::kConstant:
+      return 0;
+    case ExprKind::kMul:
+      return Degree(*expr.lhs(), marked) + Degree(*expr.rhs(), marked);
+    default:
+      return std::max(Degree(*expr.lhs(), marked),
+                      Degree(*expr.rhs(), marked));
+  }
+}
+
+bool MultipliesBy(const Expr& expr, const std::vector<bool>& marked) {
+  if (expr.kind() == ExprKind::kColumn || expr.kind() == ExprKind::kConstant) {
+    return false;
+  }
+  const Expr& lhs = *expr.lhs();
+  const Expr& rhs = *expr.rhs();
+  if (expr.kind() == ExprKind::kMul &&
+      ((Degree(lhs, marked) > 0 && rhs.kind() != ExprKind::kConstant) ||
+       (Degree(rhs, marked) > 0 && lhs.kind() != ExprKind::kConstant))) {
+    return true;
+  }
+  return MultipliesBy(lhs, marked) || MultipliesBy(rhs, marked);
+}
 
 SegmentPlan::SegmentPlan(const Table& table, size_t segment_index,
                          const QuerySpec& query,
@@ -341,9 +377,24 @@ Status SegmentPlan::Build(const Table& table, const QuerySpec& query,
   }
 
   // Code-keyed admission (DESIGN.md §20): capable by shape, admitted when
-  // it removes a per-row multiply by a key column.
+  // it removes a per-row multiply by a key column and each morsel is
+  // expected to add enough rows per key to pay for its Finish fold.
   CodeKeyedInputs code_keyed;
-  PlanCodeKeyed(table, segment, inputs_, groups_for_choice, &code_keyed);
+  PlanCodeKeyed(table, segment, inputs_, groups_for_choice,
+                overrides.code_key_limits, &code_keyed);
+  double morsel_selected =
+      static_cast<double>(std::min(segment.num_rows(), kDefaultMorselRows));
+  for (const ColumnPredicate& pred : query.filters) {
+    const int idx = table.FindColumn(pred.column_name());
+    if (idx < 0) continue;  // PlanScan reports the real error
+    const EncodedColumn& col = segment.column(static_cast<size_t>(idx));
+    if (col.type() == ColumnType::kString) continue;
+    morsel_selected *= EstimatePredicateSelectivity(
+        pred.op(), pred.literal(), pred.literal2(), col.meta().min,
+        col.meta().max);
+  }
+  code_keyed.rows_per_key =
+      morsel_selected / std::max(code_keyed.num_keys, 1);
 
   // Record the decision inputs before any feasibility check can reject the
   // plan, so an explain of a forced infeasible plan still shows what drove
@@ -371,8 +422,9 @@ Status SegmentPlan::Build(const Table& table, const QuerySpec& query,
                              : ByteSliceAdmitted(bs_in);
   d.forced_byteslice = overrides.byteslice;
   d.code_keyed_capable = code_keyed.incapable.empty();
-  d.code_keyed_admitted =
-      d.code_keyed_capable && code_keyed.multiplies_by_key;
+  d.code_keyed_admitted = d.code_keyed_capable &&
+                          code_keyed.multiplies_by_key &&
+                          code_keyed.rows_per_key >= kMinCodeKeyRowsPerKey;
   d.code_keyed = std::move(code_keyed);
 
   if (overrides.byteslice.has_value() && *overrides.byteslice &&

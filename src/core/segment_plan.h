@@ -74,6 +74,17 @@ struct CodeKeyedLayout {
   std::vector<uint64_t> coefficients;
 };
 
+// Structure queries for code-keyed capability, for the columns `marked`
+// flags (indexed by table column).
+//
+// Degree of `expr` as a polynomial in the marked columns: a column is 1
+// when marked, else 0; a constant 0; add and sub take the max of their
+// operands, mul the sum.
+int Degree(const Expr& expr, const std::vector<bool>& marked);
+// Some multiply in `expr` has one operand that reads a marked column and
+// another that is not a constant.
+bool MultipliesBy(const Expr& expr, const std::vector<bool>& marked);
+
 class SegmentPlan {
  public:
   // Plans segment `segment_index` of `table` for `query`. Planning never

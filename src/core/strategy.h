@@ -46,6 +46,37 @@ inline constexpr int kNumAggregationStrategies = 7;
 const char* SelectionStrategyName(SelectionStrategy s);
 const char* AggregationStrategyName(AggregationStrategy s);
 
+// --- code-keyed admission (DESIGN.md §20) ----------------------------------
+//
+// When every SUM input is affine in its wide ("carrier") columns and its
+// other columns have few codes per segment, each sum is an exact function
+// of per-(group, code tuple) row counts and carrier offset sums. The scan
+// then never decodes, multiplies or stores an 8-byte value per row.
+
+// Largest segment code domain (id_bound) of a key column.
+inline constexpr int kMaxCodeKeyDomain = 16;
+// Most distinct carrier columns: with the row count they fill the four
+// 64-bit lanes of one accumulator.
+inline constexpr int kMaxCodeKeyCarriers = 3;
+// Most accumulators per segment: (groups + special slot) x product of the
+// key domains. bench_code_keyed (EXPERIMENTS.md) measured code-keyed ahead
+// of multi-aggregate by 1.45x at 4096 keys (128 KB of accumulators), by
+// 1.13x at 8192 and behind at 16384; the cap keeps clear of that edge.
+inline constexpr int kMaxCodeKeys = 4096;
+// Fewest estimated selected rows per key, per morsel, for adaptive
+// admission. Every morsel folds every key at Finish, so below this the
+// fold outweighs the per-row saving (bench_code_keyed: behind at 2.6 rows
+// per key, ahead at 6.4).
+inline constexpr double kMinCodeKeyRowsPerKey = 4.0;
+
+// The two code-keyed bounds a plan applies. Benchmarks raise them to
+// measure past the defaults; the per-batch kernels take key codes as bytes
+// and keys as 16 bits, so max_domain <= 256 and max_code_keys <= 65536.
+struct CodeKeyLimits {
+  int max_domain = kMaxCodeKeyDomain;
+  int max_code_keys = kMaxCodeKeys;
+};
+
 // Forced choices for benchmarks / tests; unset means adaptive.
 struct StrategyOverrides {
   std::optional<SelectionStrategy> selection;
@@ -55,6 +86,8 @@ struct StrategyOverrides {
   // if no filter binds to one), false forces the decode-then-compare path;
   // unset means adaptive admission.
   std::optional<bool> byteslice;
+  // Code-keyed capability bounds (not a forced choice).
+  CodeKeyLimits code_key_limits;
 
   // Any strategy forced: a kNotSupported plan is then the answer instead
   // of the hash-aggregation fallback.
@@ -170,22 +203,6 @@ double EstimatePredicateSelectivity(CompareOp op, int64_t literal,
                                     int64_t literal2, int64_t min,
                                     int64_t max);
 
-// --- code-keyed admission (DESIGN.md §20) ----------------------------------
-//
-// When every SUM input is affine in its wide ("carrier") columns and its
-// other columns have few codes per segment, each sum is an exact function
-// of per-(group, code tuple) row counts and carrier offset sums. The scan
-// then never decodes, multiplies or stores an 8-byte value per row.
-
-// Largest segment code domain (id_bound) of a key column.
-inline constexpr uint64_t kMaxCodeKeyDomain = 16;
-// Most distinct carrier columns: with the row count they fill the four
-// 64-bit lanes of one accumulator.
-inline constexpr int kMaxCodeKeyCarriers = 3;
-// Most accumulators per segment: (groups + special slot) x product of the
-// key domains. Set from bench_code_keyed (EXPERIMENTS.md).
-inline constexpr int kMaxCodeKeys = 1024;
-
 struct CodeKeyedInputs {
   // Table column index and code domain of each key column, ascending by
   // column; carriers are the other columns SUM inputs read.
@@ -194,6 +211,10 @@ struct CodeKeyedInputs {
   std::vector<int> carrier_columns;
   // (groups + special slot) x product of the key domains.
   int num_keys = 0;
+  // Estimated selected rows of one morsel per key: the morsel's rows (at
+  // most kDefaultMorselRows) times the filters' metadata selectivity
+  // estimates, divided by num_keys.
+  double rows_per_key = 0.0;
   // Some SUM input multiplies by a key column: the per-row multiply the
   // strategy removes (adaptive admission).
   bool multiplies_by_key = false;

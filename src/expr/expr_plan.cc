@@ -85,36 +85,6 @@ int ExprPlan::Add(const Expr& expr) {
   return id;
 }
 
-int ExprPlan::Degree(int id, const std::vector<bool>& marked) const {
-  const Node& n = nodes_[id];
-  switch (n.kind) {
-    case ExprKind::kColumn:
-      return marked[n.column] ? 1 : 0;
-    case ExprKind::kConstant:
-      return 0;
-    case ExprKind::kMul:
-      return Degree(n.lhs, marked) + Degree(n.rhs, marked);
-    default:
-      return std::max(Degree(n.lhs, marked), Degree(n.rhs, marked));
-  }
-}
-
-bool ExprPlan::MultipliesBy(int id, const std::vector<bool>& marked) const {
-  const Node& n = nodes_[id];
-  if (n.kind == ExprKind::kColumn || n.kind == ExprKind::kConstant) {
-    return false;
-  }
-  if (n.kind == ExprKind::kMul) {
-    const bool lhs_const = nodes_[n.lhs].kind == ExprKind::kConstant;
-    const bool rhs_const = nodes_[n.rhs].kind == ExprKind::kConstant;
-    if ((Degree(n.lhs, marked) > 0 && !rhs_const) ||
-        (Degree(n.rhs, marked) > 0 && !lhs_const)) {
-      return true;
-    }
-  }
-  return MultipliesBy(n.lhs, marked) || MultipliesBy(n.rhs, marked);
-}
-
 std::vector<uint64_t> ExprPlan::AffineCoefficients(
     const std::vector<int>& roots, const std::vector<AffineColumn>& columns,
     uint32_t tuples, int num_carriers) const {
@@ -128,17 +98,24 @@ std::vector<uint64_t> ExprPlan::AffineCoefficients(
   std::vector<int64_t> slots(std::max<size_t>(num_slots_, 1) *
                              storage.stride);
   storage.base = slots.data();
+  // Filled tuple by tuple without division: plans are built per segment
+  // per query, so this runs on the query's critical path.
   for (size_t k = 0; k < columns_.size(); ++k) {
     const AffineColumn& col = columns[columns_[k]];
     int64_t* dst = column_values(storage, k);
-    for (size_t r = 0; r < rows; ++r) {
+    const int64_t stepped = WrapAdd(col.zero, static_cast<int64_t>(col.step));
+    size_t value = 0;
+    uint32_t run = 0;
+    for (size_t c = 0; c < tuples; ++c, dst += lanes) {
       if (!col.values.empty()) {
-        dst[r] = col.values[r / lanes / col.stride % col.values.size()];
+        std::fill(dst, dst + lanes, col.values[value]);
+        if (++run == col.stride) {
+          run = 0;
+          if (++value == col.values.size()) value = 0;
+        }
       } else {
-        const bool stepped =
-            r % lanes == static_cast<size_t>(col.carrier) + 1;
-        dst[r] = stepped ? WrapAdd(col.zero, static_cast<int64_t>(col.step))
-                         : col.zero;
+        std::fill(dst, dst + lanes, col.zero);
+        if (col.carrier >= 0) dst[col.carrier + 1] = stepped;
       }
     }
   }
@@ -148,9 +125,12 @@ std::vector<uint64_t> ExprPlan::AffineCoefficients(
   for (size_t i = 0; i < roots.size(); ++i) {
     const int64_t* v = values(storage, roots[i]);
     uint64_t* coef = out.data() + i * rows;
-    for (size_t r = 0; r < rows; ++r) {
-      const auto b = static_cast<uint64_t>(v[r - r % lanes]);
-      coef[r] = r % lanes == 0 ? b : static_cast<uint64_t>(v[r]) - b;
+    for (size_t r = 0; r < rows; r += lanes) {
+      const auto b = static_cast<uint64_t>(v[r]);
+      coef[r] = b;
+      for (size_t j = 1; j < lanes; ++j) {
+        coef[r + j] = static_cast<uint64_t>(v[r + j]) - b;
+      }
     }
   }
   return out;

@@ -65,17 +65,6 @@ class ExprPlan {
   const std::vector<int>& columns() const { return columns_; }
   Kernel kernel(int node) const { return nodes_[node].kernel; }
 
-  // Structure queries over the nodes below `id`, for the columns `marked`
-  // flags (indexed by table column). Valid before and after Finalize.
-  //
-  // Degree of node `id` as a polynomial in the marked columns: a column is
-  // 1 when marked, else 0; a constant 0; add and sub take the max of their
-  // operands, mul the sum.
-  int Degree(int id, const std::vector<bool>& marked) const;
-  // Some multiply below `id` has one operand that reads a marked column
-  // and another that is not a constant.
-  bool MultipliesBy(int id, const std::vector<bool>& marked) const;
-
   // How a column varies over the synthetic rows of AffineCoefficients: a
   // key column takes values[tuple / stride % values.size()]; a carrier
   // (values empty) takes zero, or zero + step in its own lane.

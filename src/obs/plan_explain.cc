@@ -239,7 +239,11 @@ std::vector<RejectedAlternative> DeriveRejected(const PlanDecision& d) {
         alt.reason =
             !d.code_keyed_capable ? "infeasible: " + d.code_keyed.incapable
             : !d.code_keyed_admitted
-                ? std::string("no sum multiplies by a key column")
+                ? (!d.code_keyed.multiplies_by_key
+                       ? std::string("no sum multiplies by a key column")
+                       : "~" + Fixed2(d.code_keyed.rows_per_key) +
+                             " selected rows per key per morsel, below " +
+                             Fixed2(kMinCodeKeyRowsPerKey))
                 : "feasible; adaptive rules preferred " + chosen;
         break;
     }
@@ -405,7 +409,8 @@ std::string PlanExplain::ToText() const {
            std::string(d.code_keyed_capable ? "yes" : "no") + ", admitted " +
            (d.code_keyed_admitted ? "yes" : "no") + ", keys " +
            join(seg.code_keys) + ", carriers " + join(seg.code_carriers) +
-           ", " + std::to_string(ck.num_keys) + " keys");
+           ", " + std::to_string(ck.num_keys) + " keys, ~" +
+           Fixed2(ck.rows_per_key) + " rows/key");
     }
     if (!seg.selection_applies) {
       line("  selection: none (no filters or deletes reach the batch loop)");
@@ -527,6 +532,7 @@ std::string PlanExplain::ToJson(int indent) const {
       for (const std::string& c : seg.code_carriers) w.Value(c);
       w.EndArray();
       w.KV("num_keys", static_cast<int64_t>(d.code_keyed.num_keys));
+      w.KV("rows_per_key", d.code_keyed.rows_per_key);
       w.KV("multiplies_by_key", d.code_keyed.multiplies_by_key);
       if (!d.code_keyed_capable) w.KV("incapable", d.code_keyed.incapable);
       w.EndObject();

@@ -4,6 +4,7 @@
 
 #include "baseline/hash_agg.h"
 #include "baseline/scalar_engine.h"
+#include "obs/plan_explain.h"
 
 namespace bipie {
 namespace {
@@ -110,12 +111,26 @@ TEST(Q1Test, UsesCodeKeyedAndSpecialGroup) {
   // Special-group selection feeds code-keyed sums (DESIGN.md §20): per
   // segment l_discount has 11 codes and l_tax 9, so every sum follows from
   // counts and price/quantity offset sums per (group, discount, tax).
+  // The three full segments run it; the 848-row tail expects ~1.2
+  // selected rows per key, too few to pay for the Finish fold, and keeps
+  // multi-aggregate.
   Table t = MakeLineitemTable(SmallOptions());
   BIPieScan scan(t, MakeQ1Query(t));
+  auto explain = scan.Explain();
+  ASSERT_TRUE(explain.ok());
+  for (const auto& seg : explain.value().segments) {
+    const PlanDecision& d = seg.decision;
+    EXPECT_EQ(d.code_keyed.num_keys, 7 * 11 * 9);
+    EXPECT_EQ(d.aggregation == AggregationStrategy::kCodeKeyed,
+              d.code_keyed.rows_per_key >= kMinCodeKeyRowsPerKey);
+  }
   ASSERT_TRUE(scan.Execute().ok());
   EXPECT_EQ(scan.stats().aggregation_segments[static_cast<int>(
                 AggregationStrategy::kCodeKeyed)],
-            scan.stats().segments_scanned);
+            3u);
+  EXPECT_EQ(scan.stats().aggregation_segments[static_cast<int>(
+                AggregationStrategy::kMultiAggregate)],
+            1u);
   EXPECT_GT(scan.stats().selection.special_group, 0u);
 }
 

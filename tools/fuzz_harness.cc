@@ -347,6 +347,10 @@ void AppendCodeShapes(const Table& table,
         return Expr::Sub(Expr::Column(col), Expr::Constant(k));
     }
   };
+  // Half the time the code shapes replace every aggregate but count(*):
+  // MIN/MAX or a sum over a wide value column elsewhere in the query makes
+  // the segment incapable, and adaptive admission would go unreached.
+  if (rng->NextBernoulli(0.5)) query->aggregates.resize(1);
   const int num_shapes = 1 + static_cast<int>(rng->NextBounded(3));
   for (int s = 0; s < num_shapes; ++s) {
     ExprPtr e;
@@ -790,10 +794,13 @@ CaseParams MakeCaseParams(uint64_t seed) {
         break;
     }
   }
-  // Half the cases add the code-keyed columns and sums, also from their
-  // own stream.
+  // A quarter of the cases add the code-keyed columns and sums, also from
+  // their own stream. Sorted cases never do: the expression sums would
+  // keep them off the run-based path they exist to reach, and a lower rate
+  // keeps the in-register and multi-aggregate shares of the mix.
   Rng code_rng(seed * 0xE7037ED1A0B428DBULL + 0x8EBC6AF09C88C6E3ULL);
-  p.code_shapes = static_cast<int>(code_rng.NextBounded(2));
+  p.code_shapes =
+      code_rng.NextBounded(4) == 0 && p.sorted_fraction <= 0 ? 1 : 0;
   return p;
 }
 
